@@ -32,7 +32,6 @@ class ExtendedKrylovBasis:
     V : stacked orthonormal blocks, n-by-(blocks*2s).
     T : projected matrix V^T A^T V, filled column-block by column-block; shape
         (blocks*2s)-by-(order*2s).
-    H : raw Gram-Schmidt coefficients (same layout as T).
     Lambda11 : s-by-s upper-triangular factor of the seed QR, with
         C^T = V_1^(1) Lambda11.
     m : number of completed expansions.
@@ -52,9 +51,7 @@ class ExtendedKrylovBasis:
         # orthogonal remainder of A^T V_last at breakdown, for honest residuals
         self.residual_block = None
         self.residual_scale = 0.0
-        self.B_m = None  # last projection V_m^T B, cached by projected_matrices
         self.T = np.zeros((self.w, 0))
-        self.H = np.zeros((self.w, 0))
 
     @property
     def n(self):
@@ -127,11 +124,8 @@ def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
 
     cand = np.hstack([AtV1, W])
     cand_scale = np.linalg.norm(cand, 2)
-    c1 = basis.V.T @ cand
-    cand = cand - basis.V @ c1
-    c2 = basis.V.T @ cand
-    cand = cand - basis.V @ c2
-    Hcol = c1 + c2
+    for _ in range(2):
+        cand = cand - basis.V @ (basis.V.T @ cand)
 
     Q, R = np.linalg.qr(cand)
     nb = basis.blocks
@@ -146,10 +140,6 @@ def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
         T[:, : j * w] = basis.T[: nb * w, :]
         T[:, j * w :] = coef
         basis.T = T
-        H = np.zeros((nb * w, nb * w))
-        H[:, : j * w] = basis.H[: nb * w, :]
-        H[: nb * w, j * w :] = Hcol
-        basis.H = H
         perp = AtVj - basis.V @ coef
         perp = perp - basis.V @ (basis.V.T @ perp)
         basis.residual_block = perp
@@ -162,11 +152,6 @@ def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
     T[: nb * w, : j * w] = basis.T
     T[:, j * w :] = basis.V.T @ AtVj
     basis.T = T
-    H = np.zeros(((nb + 1) * w, (j + 1) * w))
-    H[: nb * w, : j * w] = basis.H
-    H[: nb * w, j * w :] = Hcol
-    H[nb * w :, j * w :] = R
-    basis.H = H
     basis.m += 1
     return basis
 
@@ -185,36 +170,33 @@ def projected_matrices(basis: ExtendedKrylovBasis, B):
     B_m = basis.basis_matrix(m).T @ B
     C_m = np.zeros((basis.s, k))
     C_m[:, : basis.s] = basis.Lambda11.T
-    basis.B_m = B_m
     return T_m, B_m, C_m
 
 
-def orthonormality_deviation(basis: ExtendedKrylovBasis):
-    """Frobenius norm of V^T V - I over all stored blocks."""
-    G = basis.V.T @ basis.V
+def orthonormality_deviation(basis: ExtendedKrylovBasis, m=None):
+    """Frobenius norm of V^T V - I over the blocks present after expansion m.
+
+    m defaults to all stored blocks.
+    """
+    V = basis.V if m is None else basis.V[:, : (m + 1) * basis.w]
+    G = V.T @ V
     return float(np.linalg.norm(G - np.eye(G.shape[0]), "fro"))
 
 
-def relation_residual(basis: ExtendedKrylovBasis, handle):
+def relation_residual(basis: ExtendedKrylovBasis, handle, m=None):
     """Relative deviation of A^T V_m = V_m T_m + V_{m+1} T_{m+1,m} E_m^T.
 
-    Applies the operator once more per call; intended for diagnostics and
-    tests, not for the solver hot path.
+    m defaults to the current order.  Applies the operator once more per
+    call; intended for diagnostics and tests, not for the solver hot path.
     """
-    m = basis.order
+    m = basis.order if m is None else m
     V_m = basis.basis_matrix(m)
     lhs = handle.apply_t(V_m)
     rhs = V_m @ basis.t_square(m)
     T_sub = basis.t_coupling(m)
     if T_sub is not None:
-        rhs = rhs.copy()
         rhs[:, -basis.w :] += basis.block(m) @ T_sub
     return float(np.linalg.norm(lhs - rhs, "fro") / max(np.linalg.norm(lhs, "fro"), 1e-300))
-
-
-def diagnostics_row(basis: ExtendedKrylovBasis, handle):
-    """(m, orthonormality deviation, relation residual) for CSV dumps."""
-    return basis.order, orthonormality_deviation(basis), relation_residual(basis, handle)
 
 
 def diagnostics_history(basis: ExtendedKrylovBasis, handle):
@@ -224,20 +206,5 @@ def diagnostics_history(basis: ExtendedKrylovBasis, handle):
     expansion m together with the relation residual at order m.  Costs one
     extra operator sweep per row; intended for CSV dumps.
     """
-    rows = []
-    w = basis.w
-    cols = basis.V.shape[1]
-    for m in range(1, basis.order + 1):
-        Vext = basis.V[:, : min((m + 1) * w, cols)]
-        G = Vext.T @ Vext
-        dev = float(np.linalg.norm(G - np.eye(G.shape[0]), "fro"))
-        V_m = basis.V[:, : m * w]
-        lhs = handle.apply_t(V_m)
-        rhs = V_m @ basis.T[: m * w, : m * w]
-        if (m + 1) * w <= cols:
-            T_sub = basis.T[m * w : (m + 1) * w, (m - 1) * w : m * w]
-            rhs[:, -w:] += basis.block(m) @ T_sub
-        rel = float(np.linalg.norm(lhs - rhs, "fro")
-                    / max(np.linalg.norm(lhs, "fro"), 1e-300))
-        rows.append((m, dev, rel))
-    return rows
+    return [(m, orthonormality_deviation(basis, m), relation_residual(basis, handle, m))
+            for m in range(1, basis.order + 1)]

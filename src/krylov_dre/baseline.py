@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .bdf import bdf_coefficients
-from .dense import solve_lyapunov, symmetrize
+from .bdf import bdf_coefficients, step_grid
+from .dense import psd_factor, solve_lyapunov
 from .errors import (
     MaxIterations,
     NoStabilizingGuess,
@@ -125,7 +125,7 @@ def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
         # the seed (nearly) saturates the space within an iteration or two;
         # the Galerkin solve then equals the dense one, so take it directly
         X = solve_lyapunov(op.dense_t().T, Gc @ Gc.T)
-        return _psd_factor(np.eye(n), X, dtol)
+        return SignedFactor.from_psd(psd_factor(X, dtol)[0])
 
     # range(G) must be captured essentially exactly, or the residual estimate
     # silently misses the part of G G^T outside the subspace
@@ -148,7 +148,7 @@ def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
         if res < tol or V.shape[1] >= n:
             # at full dimension the projection is a similarity transform and
             # the projected solve is the dense Bartels-Stewart answer
-            return _psd_factor(V, Y, dtol)
+            return SignedFactor.from_psd(V @ psd_factor(Y, dtol)[0])
         room = n - V.shape[1]
         cand = np.hstack([W[:, -last.shape[1]:], op.solve_t(last)])
         new = _orth_new(cand, V)[:, :room]
@@ -162,14 +162,6 @@ def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
         W = np.hstack([W, op.apply_t(new)])
         last = new
     raise NotConverged(m_max, res)
-
-
-def _psd_factor(V, Y, dtol) -> SignedFactor:
-    lam, W = np.linalg.eigh(symmetrize(Y))
-    lam, W = lam[::-1], W[:, ::-1]
-    lmax = max(lam[0], 0.0) if lam.size else 0.0
-    keep = lam > dtol * lmax if lmax > 0.0 else np.zeros(lam.shape, bool)
-    return SignedFactor.from_psd(V @ (W[:, keep] * np.sqrt(lam[keep])))
 
 
 @dataclass
@@ -286,8 +278,7 @@ def _baseline_step(problem, config, handles, history, order, h, newton_maxit):
     raise last_exc
 
 
-def solve_baseline(problem, config, newton_maxit=30, store="final",
-                   sample_times=None) -> LowRankSolution:
+def solve_baseline(problem, config, newton_maxit=30, sample_times=None) -> LowRankSolution:
     """Full BDF time loop on the original equation with low-rank Newton steps.
 
     Startup ramps the order as in the projection solver.  The Newton stop test
@@ -298,10 +289,7 @@ def solve_baseline(problem, config, newton_maxit=30, store="final",
     config.validate()
     p = config.p
     h = config.h
-    n = problem.n
-    n_steps = 0 if problem.t_f == 0 else int(round(problem.t_f / h))
-    if problem.t_f > 0 and abs(problem.t_f / h - n_steps) > 1e-8 * max(1, n_steps):
-        raise ValueError("t_f/h is not an integer number of steps")
+    n_steps, sample_idx = step_grid(problem.t_f, h, sample_times)
 
     handles = {}
     for order in range(1, p + 1):
@@ -310,11 +298,7 @@ def solve_baseline(problem, config, newton_maxit=30, store="final",
     X = SignedFactor.from_psd(problem.Z0).compress(config.dtol)
     history = [X]
     trace = []
-    samples = [(0.0, X)] if (store == "all" or sample_times is not None) else []
-    sample_idx = set()
-    if sample_times is not None:
-        for t in np.atleast_1d(sample_times):
-            sample_idx.add(min(max(int(round(t / h)), 0), n_steps))
+    samples = [(0.0, X)] if sample_times is not None else []
 
     t0 = time.perf_counter()
     for k in range(1, n_steps + 1):
@@ -349,7 +333,7 @@ def solve_baseline(problem, config, newton_maxit=30, store="final",
             solves=sum(hh.solves for hh in handles.values()),
             seconds=time.perf_counter() - t0,
         ))
-        if store == "all" or k in sample_idx:
+        if k in sample_idx:
             samples.append((k * h, X))
 
     Z = X.psd_part(config.dtol)

@@ -95,7 +95,6 @@ class ProjectedTrajectory:
     times: np.ndarray
     ys: list
     tail: list
-    tail_times: np.ndarray
     newton_iters: list = field(default_factory=list)
     care_residuals: list = field(default_factory=list)
     orders: list = field(default_factory=list)
@@ -105,14 +104,22 @@ class ProjectedTrajectory:
         return self.ys[-1]
 
 
-def _n_steps(t_f, h):
-    if t_f == 0:
-        return 0
-    steps = t_f / h
-    n = int(round(steps))
-    if n < 1 or abs(steps - n) > 1e-8 * max(1.0, n):
-        raise ValueError(f"t_f/h = {steps} is not a positive integer number of steps")
-    return n
+def step_grid(t_f, h, sample_times=None):
+    """Number of steps of size h to t_f and the step indices nearest sample_times.
+
+    Raises ValueError unless h divides t_f into an integer number of steps.
+    """
+    n_steps = 0
+    if t_f != 0:
+        steps = t_f / h
+        n_steps = int(round(steps))
+        if n_steps < 1 or abs(steps - n_steps) > 1e-8 * max(1.0, n_steps):
+            raise ValueError(f"t_f/h = {steps} is not a positive integer number of steps")
+    sample_idx = set()
+    if sample_times is not None:
+        for t in np.atleast_1d(sample_times):
+            sample_idx.add(min(max(int(round(t / h)), 0), n_steps))
+    return n_steps, sample_idx
 
 
 def integrate(T, B_m, C_m, Y0, t_f, config, store="final", sample_times=None) -> ProjectedTrajectory:
@@ -126,14 +133,8 @@ def integrate(T, B_m, C_m, Y0, t_f, config, store="final", sample_times=None) ->
     config.validate()
     p = config.p
     h = config.h
-    n_steps = _n_steps(t_f, h)
+    n_steps, sample_idx = step_grid(t_f, h, sample_times)
     Y = symmetrize(np.asarray(Y0, dtype=float))
-
-    sample_idx = set()
-    if sample_times is not None:
-        for t in np.atleast_1d(sample_times):
-            k = int(round(t / h)) if h > 0 else 0
-            sample_idx.add(min(max(k, 0), n_steps))
 
     times = [0.0]
     ys = [Y]
@@ -174,12 +175,10 @@ def integrate(T, B_m, C_m, Y0, t_f, config, store="final", sample_times=None) ->
             times.append(k * h)
             ys.append(Y)
 
-    tail_times = np.array([(n_steps - len(tail) + 1 + i) * h for i in range(len(tail))])
     return ProjectedTrajectory(
         times=np.array(times),
         ys=ys,
-        tail=list(tail),
-        tail_times=tail_times,
+        tail=tail,
         newton_iters=newton_iters,
         care_residuals=care_residuals,
         orders=orders,

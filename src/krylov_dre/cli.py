@@ -24,6 +24,7 @@ from . import __version__
 from . import arnoldi as _arnoldi
 from .baseline import solve_baseline
 from .benchmarks import BenchmarkSpec, gen_convdiff2d, gen_heat1d_fem, load_matrixmarket
+from .dense import psd_factor
 from .errors import SolverError
 from .lowrank import SignedFactor, signed_diff_fro
 from .lqr import gain_schedule, optimal_cost, simulate_closed_loop, steady_state
@@ -251,7 +252,7 @@ def cmd_compare(args, out):
         elif name == "reference":
             X = dense_reference_integrate(problem, config.h / 10.0, [problem.t_f],
                                           p=config.p)[0]
-            finals[name] = SignedFactor.from_psd(_psd_chol(X))
+            finals[name] = SignedFactor.from_psd(psd_factor(X, config.dtol)[0])
         else:
             raise SolverError(f"unknown method {name!r}")
         timings[name] = time.perf_counter() - t0
@@ -269,12 +270,6 @@ def cmd_compare(args, out):
     for na, nb, diff, rel in rows:
         print(f"compare: {na} vs {nb}: fro diff {diff:.3e} (rel {rel:.3e})")
     return 0
-
-
-def _psd_chol(X):
-    lam, W = np.linalg.eigh(0.5 * (X + X.T))
-    lam = np.maximum(lam, 0.0)
-    return W @ np.diag(np.sqrt(lam))
 
 
 def cmd_convergence(args, out):

@@ -1,12 +1,10 @@
-"""Dense matrix-equation kernels: Lyapunov, Riccati, matrix exponential, truncation.
+"""Dense matrix-equation kernels: Lyapunov, Riccati, matrix exponential, PSD factors.
 
 These operate on the small projected matrices (order a few hundred at most).
 All solvers symmetrize their output and are pure functions of their inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -234,34 +232,17 @@ def matrix_exponential(M):
     return sla.expm(np.asarray(M, dtype=float))
 
 
-@dataclass
-class TruncatedFactor:
-    """Rank-l factorization Y ~ U diag(sigma) U^T with sigma descending."""
+def psd_factor(Y, dtol):
+    """Small factor G with Y ~ G G^T, and the eigenvalues of Y (descending).
 
-    U: np.ndarray
-    sigma: np.ndarray
-    dtol: float
-
-    @property
-    def rank(self):
-        return self.sigma.size
-
-    def reconstruct(self):
-        return (self.U * self.sigma) @ self.U.T
-
-
-def truncate_svd(Y, dtol) -> TruncatedFactor:
-    """Truncated spectral factorization of a (numerically PSD) symmetric Y.
-
-    Keeps the eigenvalues above dtol times the largest one; for PSD input this
-    coincides with the truncated SVD and the spectral-norm reconstruction
-    error is at most dtol * sigma_max.  Eigenvalues at or below the threshold,
-    including small negative ones, are treated as noise and dropped (l = 0 is
-    possible for Y ~ 0).
+    Keeps the eigenpairs of the symmetric part of Y whose eigenvalue exceeds
+    dtol times the largest one and scales the eigenvectors by sqrt(lambda).
+    For PSD input this is the truncated SVD: the spectral-norm reconstruction
+    error is at most dtol * lambda_max.  Eigenvalues at or below the threshold,
+    including negative ones, are dropped (G has no columns for Y <= 0).
     """
-    Y = symmetrize(np.asarray(Y, dtype=float))
-    lam, W = np.linalg.eigh(Y)
+    lam, W = np.linalg.eigh(symmetrize(np.asarray(Y, dtype=float)))
     lam, W = lam[::-1], W[:, ::-1]
-    sigma_max = max(lam[0], 0.0) if lam.size else 0.0
-    keep = lam > dtol * sigma_max if sigma_max > 0.0 else np.zeros(lam.shape, bool)
-    return TruncatedFactor(U=W[:, keep].copy(), sigma=lam[keep].copy(), dtol=dtol)
+    lmax = max(lam[0], 0.0) if lam.size else 0.0
+    keep = lam > dtol * lmax if lmax > 0.0 else np.zeros(lam.shape, bool)
+    return W[:, keep] * np.sqrt(lam[keep]), lam

@@ -76,10 +76,6 @@ class NotStabilizable(SolverError):
     """The pair (A, B) does not admit a stabilizing solution (as detected numerically)."""
 
 
-class NotObservable(SolverError):
-    """The pair (C, A) fails the observability-type requirement (as detected numerically)."""
-
-
 class SingularBracket(SolverError):
     """The bracketed matrix of the closed-form trajectory formula is singular."""
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dense import psd_factor
+
 
 @dataclass
 class SignedFactor:
@@ -41,6 +43,11 @@ class SignedFactor:
     def frobenius(self):
         return signed_diff_fro(self, None)
 
+    def _qr_core(self):
+        """Thin QR Z = Q R and the small symmetric core R diag(signs) R^T."""
+        Q, R = np.linalg.qr(self.Z)
+        return Q, 0.5 * ((R * self.signs) @ R.T + R @ (self.signs[:, None] * R.T))
+
     def compress(self, dtol):
         """Column compression: minimal rank keeping |eigenvalues| > dtol * max.
 
@@ -49,8 +56,7 @@ class SignedFactor:
         """
         if self.rank == 0:
             return SignedFactor(self.Z.copy(), self.signs.copy())
-        Q, R = np.linalg.qr(self.Z)
-        core = 0.5 * ((R * self.signs) @ R.T + R @ (self.signs[:, None] * R.T))
+        Q, core = self._qr_core()
         lam, W = np.linalg.eigh(core)
         order = np.argsort(np.abs(lam))[::-1]
         lam, W = lam[order], W[:, order]
@@ -64,13 +70,8 @@ class SignedFactor:
         """Projection onto the PSD cone, returned as a plain factor Z (X ~ Z Z^T)."""
         if self.rank == 0:
             return self.Z.copy()
-        Q, R = np.linalg.qr(self.Z)
-        core = 0.5 * ((R * self.signs) @ R.T + R @ (self.signs[:, None] * R.T))
-        lam, W = np.linalg.eigh(core)
-        lam, W = lam[::-1], W[:, ::-1]
-        lmax = max(lam[0], 0.0) if lam.size else 0.0
-        keep = lam > dtol * lmax if lmax > 0.0 else np.zeros(lam.shape, bool)
-        return Q @ (W[:, keep] * np.sqrt(lam[keep]))
+        Q, core = self._qr_core()
+        return Q @ psd_factor(core, dtol)[0]
 
 
 def signed_diff_fro(f1: SignedFactor, f2: SignedFactor | None):

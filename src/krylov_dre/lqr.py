@@ -15,9 +15,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import arnoldi
-from .dense import solve_care, symmetrize
-from .errors import Breakdown, NoStabilizingGuess, NotConverged
+from .dense import psd_factor, solve_care
+from .errors import NoStabilizingGuess, NotConverged
 from .problem import factorize
+from .solver import krylov_orders, residual_estimate
 
 DENSE_GAIN_MAX_N = 500
 DENSE_STEADY_MAX_N = 200
@@ -179,16 +180,9 @@ def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
         A = problem.A.toarray() if sp.issparse(problem.A) else np.asarray(problem.A, float)
         return solve_care(A, B, C.T @ C, x_init=None, tol=tol * 1e-2, maxit=60)
 
-    handle = factorize(problem.A)
-    basis = arnoldi.seed(handle, C)
     y_prev = None
     res = np.inf
-    for m in range(1, m_max + 1):
-        broke = False
-        try:
-            arnoldi.expand(basis, handle)
-        except Breakdown:
-            broke = True
+    for basis, _ in krylov_orders(problem, factorize(problem.A), m_max):
         T_m, B_m, C_m = arnoldi.projected_matrices(basis, B)
         k = T_m.shape[0]
         warm = None
@@ -200,12 +194,7 @@ def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
         except NoStabilizingGuess:
             Y = solve_care(T_m.T, B_m, C_m.T @ C_m, x_init=None, tol=1e-14, maxit=60)
         y_prev = Y
-        T_sub = basis.t_coupling()
-        res = 0.0 if T_sub is None else float(np.linalg.norm(T_sub @ Y[-basis.w:, :], 2))
-        if res < tol or broke:
-            lam, W = np.linalg.eigh(symmetrize(Y))
-            lam, W = lam[::-1], W[:, ::-1]
-            lmax = max(lam[0], 0.0) if lam.size else 0.0
-            keep = lam > dtol * lmax if lmax > 0.0 else np.zeros(lam.shape, bool)
-            return basis.basis_matrix() @ (W[:, keep] * np.sqrt(np.maximum(lam[keep], 0)))
+        res = residual_estimate(basis, Y).value
+        if res < tol or basis.breakdown:
+            return basis.basis_matrix() @ psd_factor(Y, dtol)[0]
     raise NotConverged(m_max, res)

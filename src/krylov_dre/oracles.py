@@ -46,7 +46,6 @@ class OracleData:
     x_tilde: np.ndarray
     a_tilde: np.ndarray
     z_tilde: np.ndarray
-    sign_convention: tuple
 
 
 def _dense_a(problem):
@@ -70,7 +69,7 @@ def oracle_data(problem, sign="as_printed") -> OracleData:
     rhs = B @ B.T if sign == "as_printed" else -(B @ B.T)
     # solve At Z + Z At^T = rhs  <=>  (At^T)^T Z + Z At^T + (-rhs) = 0
     Zt = solve_lyapunov(At.T, -rhs)
-    return OracleData(x_tilde=Xt, a_tilde=At, z_tilde=Zt, sign_convention=(sign, None))
+    return OracleData(x_tilde=Xt, a_tilde=At, z_tilde=Zt)
 
 
 def _evaluate_formula(data: OracleData, X0, t, final):
@@ -110,8 +109,7 @@ def dense_reference_integrate(problem, h_ref, t_grid, p=2, care_tol=1e-13):
         if abs(t / h_ref - round(t / h_ref)) > 1e-6:
             raise ValueError(f"t={t} is not a multiple of h_ref={h_ref}")
     config = SolverConfig(p=p, h=h_ref, care_tol=care_tol, m_max=1).validate()
-    traj = integrate(A.T, problem.B, problem.C, X0, t_end, config,
-                     store="final", sample_times=t_grid)
+    traj = integrate(A.T, problem.B, problem.C, X0, t_end, config, sample_times=t_grid)
     out = []
     for t in t_grid:
         idx = int(np.argmin(np.abs(traj.times - t)))
@@ -193,6 +191,4 @@ def exact_solution(problem, t, convention=None):
     if lam.min() <= 0.0:
         raise ValueError("closed-form trajectory requires X(0) > 0")
     sign, final = resolve_convention() if convention is None else convention
-    data = oracle_data(problem, sign=sign)
-    data.sign_convention = (sign, final)
-    return _evaluate_formula(data, X0, t, final)
+    return _evaluate_formula(oracle_data(problem, sign=sign), X0, t, final)

@@ -90,7 +90,7 @@ class ValidationReport:
 
 
 class OperatorHandle:
-    """Actions of A, A^T, A^{-1} and A^{-T} on n-by-k blocks, with op counters.
+    """Actions of A^T and A^{-T} on n-by-k blocks, with op counters.
 
     Immutable after construction; safe for concurrent read-only use.  Counters
     record the number of columns pushed through each kind of action and are not
@@ -109,13 +109,7 @@ class OperatorHandle:
         else:
             self.solves += k
 
-    def apply(self, V):
-        raise NotImplementedError
-
     def apply_t(self, V):
-        raise NotImplementedError
-
-    def solve(self, V):
         raise NotImplementedError
 
     def solve_t(self, V):
@@ -139,17 +133,9 @@ class SparseOperator(OperatorHandle):
                 f"near-singular A: pivot ratio {d.min() / d.max():.2e}"
             )
 
-    def apply(self, V):
-        self._count(V, "matvec")
-        return self.A @ V
-
     def apply_t(self, V):
         self._count(V, "matvec")
         return self.A.T @ V
-
-    def solve(self, V):
-        self._count(V, "solve")
-        return self._lu.solve(np.asarray(V))
 
     def solve_t(self, V):
         self._count(V, "solve")
@@ -168,17 +154,9 @@ class DenseOperator(OperatorHandle):
         if d.size == 0 or d.min() <= PIVOT_RTOL * max(d.max(), 1e-300):
             raise SingularA("near-singular A: zero pivot in dense LU")
 
-    def apply(self, V):
-        self._count(V, "matvec")
-        return self.A @ V
-
     def apply_t(self, V):
         self._count(V, "matvec")
         return self.A.T @ V
-
-    def solve(self, V):
-        self._count(V, "solve")
-        return sla.lu_solve((self._lu, self._piv), V, check_finite=False)
 
     def solve_t(self, V):
         self._count(V, "solve")
@@ -186,7 +164,7 @@ class DenseOperator(OperatorHandle):
 
 
 def factorize(A) -> OperatorHandle:
-    """Factorize A once and return a handle for repeated apply/solve actions.
+    """Factorize A once and return a handle for repeated apply_t/solve_t actions.
 
     Raises SingularA when the factorization fails or produces a pivot below
     the relative threshold.

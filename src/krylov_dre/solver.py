@@ -19,23 +19,22 @@ import numpy as np
 
 from . import arnoldi
 from .bdf import integrate
-from .dense import symmetrize
+from .dense import psd_factor, symmetrize
 from .errors import Breakdown, IndefiniteY, NotConverged, StepFailure
 from .problem import DREProblem, SolverConfig, factorize
 
 # Eigenvalues of Y below -PSD_RTOL * sigma_max fail the PSD check of the
-# factor extraction; anything above is clipped to zero.
+# factor extraction; anything above is dropped or kept by the dtol rule.
 PSD_RTOL = 1e-8
 
 
 @dataclass
 class ResidualEstimate:
-    """||T_{m+1,m} Yhat_m||_2 with its constituents; 0 on breakdown."""
+    """||T_{m+1,m} Yhat_m||_2 with the coupling block; 0 on clean breakdown."""
 
     m: int
     value: float
     t_coupling: np.ndarray | None
-    y_hat: np.ndarray
 
 
 @dataclass
@@ -78,36 +77,31 @@ def residual_estimate(basis, y_final) -> ResidualEstimate:
     value is exactly 0; a partially deficient final block contributes its
     orthogonal remainder instead, so the estimate never understates.
     """
-    w = basis.w
-    y_hat = np.asarray(y_final)[-w:, :]
+    y_hat = np.asarray(y_final)[-basis.w:, :]
     T_sub = basis.t_coupling()
     if T_sub is None:
         perp = basis.residual_block
         if perp is None or np.linalg.norm(perp, 2) <= 1e-12 * max(basis.residual_scale, 1e-300):
-            return ResidualEstimate(m=basis.order, value=0.0, t_coupling=None, y_hat=y_hat)
+            return ResidualEstimate(m=basis.order, value=0.0, t_coupling=None)
         value = float(np.linalg.norm(perp @ y_hat, 2))
-        return ResidualEstimate(m=basis.order, value=value, t_coupling=None, y_hat=y_hat)
+        return ResidualEstimate(m=basis.order, value=value, t_coupling=None)
     value = float(np.linalg.norm(T_sub @ y_hat, 2))
-    return ResidualEstimate(m=basis.order, value=value, t_coupling=T_sub.copy(), y_hat=y_hat)
+    return ResidualEstimate(m=basis.order, value=value, t_coupling=T_sub.copy())
 
 
 def extract_factor(basis, y_final, dtol, residual=None) -> LowRankSolution:
     """Recover Z with V Y V^T ~ Z Z^T without forming the n-by-n product.
 
     Y must be PSD up to a small negative tolerance; eigenvalues below
-    -1e-8 * sigma_max raise IndefiniteY, small negatives are clipped.
+    -1e-8 * sigma_max raise IndefiniteY, small negatives are dropped.
     """
     Y = symmetrize(np.asarray(y_final, dtype=float))
-    lam, W = np.linalg.eigh(Y)
-    lam, W = lam[::-1], W[:, ::-1]
-    sigma_max = max(np.abs(lam).max(), 0.0) if lam.size else 0.0
-    if lam.size and lam.min() < -PSD_RTOL * sigma_max:
+    G, lam = psd_factor(Y, dtol)
+    if lam.size and lam[-1] < -PSD_RTOL * np.abs(lam).max():
         raise IndefiniteY(
-            f"min eigenvalue {lam.min():.3e} below -{PSD_RTOL:g}*sigma_max"
+            f"min eigenvalue {lam[-1]:.3e} below -{PSD_RTOL:g}*sigma_max"
         )
-    lam = np.maximum(lam, 0.0)
-    keep = lam > dtol * sigma_max if sigma_max > 0.0 else np.zeros(lam.shape, bool)
-    Z = basis.basis_matrix() @ (W[:, keep] * np.sqrt(lam[keep]))
+    Z = basis.basis_matrix() @ G
     return LowRankSolution(
         Z=Z,
         rank=Z.shape[1],
@@ -124,8 +118,26 @@ def _project_initial(basis, Z0):
     return G @ G.T
 
 
-def solve(problem: DREProblem, config: SolverConfig, store="final",
-          sample_times=None, handle=None) -> LowRankSolution:
+def krylov_orders(problem, handle, m_max, stride=1):
+    """Grow the extended Krylov basis of (A^T, C^T), yielding (basis, last).
+
+    A yield follows every stride-th expansion, expansion m_max and a
+    breakdown; last is True on the final yield (m_max reached or the subspace
+    found invariant, in which case basis.breakdown is set).
+    """
+    basis = arnoldi.seed(handle, problem.C)
+    for m in range(1, m_max + 1):
+        try:
+            arnoldi.expand(basis, handle)
+        except Breakdown:
+            yield basis, True
+            return
+        if m % stride == 0 or m == m_max:
+            yield basis, m == m_max
+
+
+def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
+          handle=None) -> LowRankSolution:
     """Run the outer projection loop until the residual stop test passes.
 
     The projected DRE is re-integrated from t = 0 at every tested m (the
@@ -139,34 +151,20 @@ def solve(problem: DREProblem, config: SolverConfig, store="final",
     """
     config.validate()
     handle = factorize(problem.A) if handle is None else handle
-    basis = arnoldi.seed(handle, problem.C)
     trace = []
     t0 = time.perf_counter()
-    est = None
-    traj = None
 
-    m = 0
-    while m < config.m_max:
-        m += 1
-        hit_breakdown = False
-        try:
-            arnoldi.expand(basis, handle)
-        except Breakdown:
-            hit_breakdown = True
-        do_check = hit_breakdown or m % config.check_stride == 0 or m == config.m_max
-        if not do_check:
-            continue
-
+    for basis, last in krylov_orders(problem, handle, config.m_max, config.check_stride):
         T_m, B_m, C_m = arnoldi.projected_matrices(basis, problem.B)
         Y0 = _project_initial(basis, problem.Z0)
         try:
             traj = integrate(T_m, B_m, C_m, Y0, problem.t_f, config,
-                             store=store, sample_times=sample_times)
+                             sample_times=sample_times)
         except StepFailure:
             # A too-small subspace can make a projected step equation
             # unsolvable; a richer basis restores it.  Treat like a failed
             # residual test and keep expanding.
-            if hit_breakdown or m == config.m_max:
+            if last:
                 raise
             trace.append(ConvergenceRecord(
                 m=basis.order, residual=np.inf, rank=0,
@@ -182,12 +180,9 @@ def solve(problem: DREProblem, config: SolverConfig, store="final",
             matvecs=handle.matvecs, solves=handle.solves,
             seconds=time.perf_counter() - t0,
         ))
-        if est.value < config.tol or hit_breakdown:
+        if est.value < config.tol or basis.breakdown:
             break
     else:
-        raise NotConverged(config.m_max, est.value if est is not None else np.inf)
-
-    if est.value >= config.tol and not basis.breakdown:
         raise NotConverged(config.m_max, est.value)
 
     sol = extract_factor(basis, traj.final, config.dtol, residual=est)
@@ -199,18 +194,11 @@ def solve(problem: DREProblem, config: SolverConfig, store="final",
         "care_residuals": traj.care_residuals,
         "orders": traj.orders,
     }
-    if sample_times is not None or store == "all":
+    if sample_times is not None:
         sol.samples = _factor_samples(basis, traj, config.dtol)
     return sol
 
 
 def _factor_samples(basis, traj, dtol):
     V = basis.basis_matrix()
-    samples = []
-    for t, Y in zip(traj.times, traj.ys):
-        lam, W = np.linalg.eigh(symmetrize(Y))
-        lam, W = lam[::-1], W[:, ::-1]
-        smax = max(lam[0], 0.0) if lam.size else 0.0
-        keep = lam > dtol * smax if smax > 0.0 else np.zeros(lam.shape, bool)
-        samples.append((float(t), V @ (W[:, keep] * np.sqrt(np.maximum(lam[keep], 0.0)))))
-    return samples
+    return [(float(t), V @ psd_factor(Y, dtol)[0]) for t, Y in zip(traj.times, traj.ys)]

@@ -9,6 +9,7 @@ from krylov_dre.bdf import (
     bdf_coefficients,
     bdf_step,
     integrate,
+    step_grid,
 )
 from krylov_dre.errors import UnsupportedOrder
 from krylov_dre.problem import SolverConfig
@@ -159,6 +160,14 @@ def test_integrate_rejects_non_integer_steps():
     T, B, C, Y0 = _scalar_system()
     with pytest.raises(ValueError):
         integrate(T, B, C, Y0, 1.0, SolverConfig(h=3e-3))
+
+
+def test_step_grid_counts_and_clamps_samples():
+    assert step_grid(0.0, 1e-2) == (0, set())
+    # samples round to the nearest step and are clamped to [0, n_steps]
+    assert step_grid(0.1, 1e-2, [0.0, 0.049, 0.2, -1.0]) == (10, {0, 5, 10})
+    with pytest.raises(ValueError):
+        step_grid(1.0, 3e-3)
 
 
 def test_symmetry_and_psd_preserved_p1():

@@ -1,0 +1,53 @@
+"""The benchmark's tracer must find, wrap and restore every library function it traces.
+
+perfbench/tracing.py looks its targets up by name when it is imported, so a
+renamed or deleted library function breaks every benchmark run.  This test
+fails instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from krylov_dre import benchmarks, dense, lowrank, solver
+from krylov_dre.problem import SolverConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Identity of every package-level binding the tracer may replace."""
+    snap = {(name, attr): value
+            for name, module in list(sys.modules.items())
+            if module is not None and name.startswith("krylov_dre")
+            for attr, value in vars(module).items()}
+    snap[("SignedFactor", "compress")] = vars(lowrank.SignedFactor)["compress"]
+    return snap
+
+
+def test_tracer_installs_and_restores_every_binding():
+    tracing = _load_tracing()
+    before = _bindings()
+    tr = tracing.Tracer()
+    with tr.installed():
+        assert solver.extract_factor is not before[("krylov_dre.solver", "extract_factor")]
+        assert dense.sla is not before[("krylov_dre.dense", "sla")]
+        problem = benchmarks.gen_convdiff2d(7, seed=7, t_f=0.5)
+        sol = solver.solve(problem, SolverConfig(p=2, h=1e-2, tol=1e-8, m_max=20,
+                                                 check_stride=2),
+                           sample_times=[0.0, 0.5])
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert changed == []
+    # every checked order was integrated inside the traced solve
+    assert tr.counts["solver.checks"] == len(sol.trace)
+    assert tr.calls["solver.extract"] == 2
+    assert tr.calls["dense.schur"] > 0

@@ -9,8 +9,8 @@ from krylov_dre.dense import (
     matrix_exponential,
     newton_kleinman_step,
     solve_care,
+    psd_factor,
     solve_lyapunov,
-    truncate_svd,
 )
 from krylov_dre.errors import MaxIterations, NoStabilizingGuess, SpectrumIncompatible
 
@@ -173,28 +173,28 @@ def test_expm_nilpotent():
 # ---------------------------------------------------------------- truncation
 
 def test_truncate_identity():
-    f = truncate_svd(np.eye(4), 1e-8)
-    assert f.rank == 4
-    assert np.allclose(f.sigma, 1.0)
+    G, lam = psd_factor(np.eye(4), 1e-8)
+    assert G.shape[1] == 4
+    assert np.allclose(lam[: G.shape[1]], 1.0)
 
 
 def test_truncate_threshold_cut():
-    f = truncate_svd(np.diag([1.0, 1e-12]), 1e-8)
-    assert f.rank == 1
+    G, _ = psd_factor(np.diag([1.0, 1e-12]), 1e-8)
+    assert G.shape[1] == 1
 
 
 def test_truncate_constructed_rank():
     rng = np.random.default_rng(61)
     W = rng.standard_normal((10, 3))
     Y = W @ W.T
-    f = truncate_svd(Y, 1e-10)
-    assert f.rank == 3
-    assert np.linalg.norm(Y - f.reconstruct(), 2) <= 1e-10 * f.sigma[0]
+    G, lam = psd_factor(Y, 1e-10)
+    assert G.shape[1] == 3
+    assert np.linalg.norm(Y - G @ G.T, 2) <= 1e-10 * lam[0]
 
 
 def test_truncate_zero_matrix():
-    f = truncate_svd(np.zeros((5, 5)), 1e-8)
-    assert f.rank == 0
+    G, _ = psd_factor(np.zeros((5, 5)), 1e-8)
+    assert G.shape == (5, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -204,10 +204,12 @@ def test_truncate_reconstruction_property(seed, k, dtol):
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((k, k))
     Y = W @ W.T
-    f = truncate_svd(Y, dtol)
+    G, lam = psd_factor(Y, dtol)
+    rank = G.shape[1]
     sigma_max = np.abs(np.linalg.eigvalsh(Y)).max()
-    assert np.linalg.norm(Y - f.reconstruct(), 2) <= dtol * sigma_max * (1 + 1e-12)
-    assert np.all(f.sigma >= dtol * sigma_max * (1 - 1e-12)) or f.rank == 0
-    # orthonormal columns
-    if f.rank:
-        assert np.linalg.norm(f.U.T @ f.U - np.eye(f.rank)) <= 1e-12
+    assert np.linalg.norm(Y - G @ G.T, 2) <= dtol * sigma_max * (1 + 1e-12)
+    assert np.all(lam[:rank] >= dtol * sigma_max * (1 - 1e-12)) or rank == 0
+    # orthonormal columns once the square roots of the eigenvalues are divided out
+    if rank:
+        U = G / np.sqrt(lam[:rank])
+        assert np.linalg.norm(U.T @ U - np.eye(rank)) <= 1e-12

@@ -8,7 +8,7 @@ from krylov_dre.benchmarks import gen_convdiff2d
 from krylov_dre.bdf import bdf_coefficients
 from krylov_dre.errors import IndefiniteY, NotConverged
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
-from krylov_dre.solver import extract_factor, residual_estimate, solve
+from krylov_dre.solver import extract_factor, krylov_orders, residual_estimate, solve
 
 from conftest import dense_a
 
@@ -51,13 +51,32 @@ def solved49_with_tail(convdiff49):
     return sol
 
 
-def test_full_space_projection_residual_zero():
-    # n = 2s: the seed exhausts R^n at m=1 and the residual is exactly 0
+def _full_space_problem():
+    # n = 2s: the seed exhausts R^n, so the first expansion breaks down
     rng = np.random.default_rng(1)
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * rng.standard_normal((4, 4)))
     C = rng.standard_normal((2, 4))
     Z0 = 0.1 * rng.standard_normal((4, 2))
-    problem = DREProblem(A=A, B=rng.standard_normal((4, 1)), C=C, Z0=Z0, t_f=0.1)
+    return DREProblem(A=A, B=rng.standard_normal((4, 1)), C=C, Z0=Z0, t_f=0.1)
+
+
+def test_krylov_orders_stride_and_last(convdiff49):
+    handle = factorize(convdiff49.A)
+    seen = [(basis.order, last, basis.breakdown)
+            for basis, last in krylov_orders(convdiff49, handle, m_max=7, stride=3)]
+    assert seen == [(3, False, False), (6, False, False), (7, True, False)]
+
+
+def test_krylov_orders_breakdown_ends_iteration():
+    problem = _full_space_problem()
+    seen = [(basis.order, last, basis.breakdown)
+            for basis, last in krylov_orders(problem, factorize(problem.A), m_max=5)]
+    assert seen == [(1, True, True)]
+
+
+def test_full_space_projection_residual_zero():
+    # the seed exhausts R^n at m=1 and the residual is exactly 0
+    problem = _full_space_problem()
     config = SolverConfig(p=2, h=1e-3, tol=1e-8, m_max=5)
     sol = solve(problem, config)
     assert sol.breakdown
