@@ -166,10 +166,12 @@ def cmd_solve(args, out):
     if sol.step_stats:
         ss = sol.step_stats
         _write_csv(out / "bdf_log.csv",
-                   ["k", "t", "order", "newton_iterations", "care_residual"],
-                   [(k + 1, (k + 1) * ss["h"], o, ni, cr)
-                    for k, (o, ni, cr) in enumerate(
-                        zip(ss["orders"], ss["newton_iters"], ss["care_residuals"]))])
+                   ["k", "t", "order", "newton_iterations", "schur_factorizations",
+                    "care_residual"],
+                   [(k + 1, (k + 1) * ss["h"], o, ni, sf, cr)
+                    for k, (o, ni, sf, cr) in enumerate(
+                        zip(ss["orders"], ss["newton_iters"], ss["schur_factorizations"],
+                            ss["care_residuals"]))])
     if args.track and sol.samples:
         i, j = _parse_track(args.track)
         _write_csv(out / "trajectory.csv", ["t", f"X_{i}{j}"],
@@ -239,6 +241,9 @@ def cmd_compare(args, out):
     config = build_config(args)
     _write_manifest(out, args, spec, config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    unknown = [m for m in methods if m not in ("eba", "baseline", "reference")]
+    if unknown:
+        raise SolverError(f"unknown method {unknown[0]!r}")
     finals = {}
     timings = {}
     for name in methods:
@@ -249,12 +254,10 @@ def cmd_compare(args, out):
         elif name == "baseline":
             sol = solve_baseline(problem, config)
             finals[name] = SignedFactor.from_psd(sol.Z)
-        elif name == "reference":
+        else:
             X = dense_reference_integrate(problem, config.h / 10.0, [problem.t_f],
                                           p=config.p)[0]
             finals[name] = SignedFactor.from_psd(psd_factor(X, config.dtol)[0])
-        else:
-            raise SolverError(f"unknown method {name!r}")
         timings[name] = time.perf_counter() - t0
     rows = []
     for a in range(len(methods)):

@@ -6,11 +6,20 @@ All solvers symmetrize their output and are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import MaxIterations, NoStabilizingGuess, SpectrumIncompatible
+
+# A chord step (Newton step solved with a frozen closed-loop Schur factor) is
+# kept only if it cuts the CARE residual norm at least CHORD_CONTRACTION-fold;
+# one kept with less than CHORD_REFRESH-fold contraction shows the factor has
+# drifted from the current closed loop, so it is refreshed on the next step.
+CHORD_CONTRACTION = 0.1
+CHORD_REFRESH = 1e-3
 
 
 def symmetrize(M):
@@ -18,18 +27,26 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
+def _fro(M):
+    """Frobenius norm of a real matrix, without np.linalg.norm's per-call overhead."""
+    return math.sqrt(np.vdot(M, M))
+
+
 def _schur_eigenvalues(T):
-    """Eigenvalues of a real quasi-upper-triangular (Schur form) matrix."""
-    k = T.shape[0]
-    eigs = np.empty(k, dtype=complex)
-    i = 0
-    while i < k:
-        if i + 1 < k and T[i + 1, i] != 0.0:
-            eigs[i : i + 2] = np.linalg.eigvals(T[i : i + 2, i : i + 2])
-            i += 2
-        else:
-            eigs[i] = T[i, i]
-            i += 1
+    """Eigenvalues of a real quasi-upper-triangular (Schur form) matrix.
+
+    A nonzero subdiagonal entry T[i+1, i] starts a 2x2 block [[a, b], [c, d]],
+    whose eigenvalues are (a+d)/2 +- sqrt(((a-d)/2)^2 + b c); in LAPACK's
+    standardized form a = d and b c < 0, so they are a +- i sqrt(-b c).
+    """
+    eigs = np.diag(T).astype(complex)
+    i = np.flatnonzero(np.diag(T, -1))
+    if i.size:
+        a, d = T[i, i], T[i + 1, i + 1]
+        mean = 0.5 * (a + d)
+        root = np.sqrt((0.5 * (a - d)) ** 2 + T[i, i + 1] * T[i + 1, i] + 0j)
+        eigs[i] = mean + root
+        eigs[i + 1] = mean - root
     return eigs
 
 
@@ -40,6 +57,42 @@ def lyapunov_residual(F, Q, X):
     return num / max(den, 1e-300)
 
 
+class SchurFactor:
+    """Real Schur form F = U T U^T of a Lyapunov coefficient, reusable across right-hand sides.
+
+    The factorization and the check for an eigenvalue pair with
+    lambda_i + lambda_j ~ 0 (SpectrumIncompatible, the equation is singular)
+    run once; every solve is then a trsyl back-substitution and two
+    orthogonal transforms.
+    """
+
+    def __init__(self, F):
+        F = np.asarray(F, dtype=float)
+        self.k = F.shape[0]
+        if self.k == 0:
+            return
+        T, U = sla.schur(F, output="real")
+        eigs = _schur_eigenvalues(T)
+        scale = max(np.abs(eigs).max(), 1.0)
+        pair_sums = np.abs(eigs[:, None] + eigs[None, :])
+        if pair_sums.min() <= 1e-12 * scale:
+            raise SpectrumIncompatible(
+                f"eigenvalue pair sum {pair_sums.min():.2e} below threshold"
+            )
+        self.T, self.U = T, U
+
+    def solve(self, Q):
+        """Symmetric X with F^T X + X F + Q = 0."""
+        if self.k == 0:
+            return np.zeros((0, 0))
+        # T^T Xt + Xt T = s U^T Q U, and X = -U Xt U^T / s
+        T, U = self.T, self.U
+        Xt, s, info = lapack.dtrsyl(T, T, U.T @ Q @ U, trana="T", tranb="N", isgn=1)
+        if info < 0:
+            raise SpectrumIncompatible(f"trsyl failed with info={info}")
+        return symmetrize(U @ (Xt / -s) @ U.T)
+
+
 def solve_lyapunov(F, Q):
     """Solve F^T X + X F + Q = 0 for symmetric X (Bartels-Stewart).
 
@@ -48,25 +101,7 @@ def solve_lyapunov(F, Q):
     when F has an eigenvalue pair with lambda_i + lambda_j ~ 0, in which case
     the equation is singular.
     """
-    F = np.asarray(F, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    k = F.shape[0]
-    if k == 0:
-        return np.zeros((0, 0))
-    T, U = sla.schur(F, output="real")
-    eigs = _schur_eigenvalues(T)
-    scale = max(np.abs(eigs).max(), 1.0)
-    pair_sums = np.abs(eigs[:, None] + eigs[None, :])
-    if pair_sums.min() <= 1e-12 * scale:
-        raise SpectrumIncompatible(
-            f"eigenvalue pair sum {pair_sums.min():.2e} below threshold"
-        )
-    Qt = U.T @ (-Q) @ U
-    Xt, s, info = lapack.dtrsyl(T, T, Qt, trana="T", tranb="N", isgn=1)
-    if info < 0:
-        raise SpectrumIncompatible(f"trsyl failed with info={info}")
-    X = U @ (Xt / s) @ U.T
-    return symmetrize(X)
+    return SchurFactor(F).solve(Q)
 
 
 def care_residual(A, B, Q, X):
@@ -164,7 +199,8 @@ def solve_care(A, B, Q, x_init=None, tol=1e-12, maxit=50, return_info=False):
     return X
 
 
-def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False):
+def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
+                    factor=None):
     """Damped Newton for the CARE root nearest a warm start.
 
     Each step solves the Kleinman Lyapunov equation in delta form and
@@ -174,56 +210,75 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False):
     iteration coincides with Newton-Kleinman.  Raises MaxIterations when the
     residual cannot be reduced to tol (in particular when the step equation
     has no symmetric solution at all).
+
+    factor, a SchurFactor of an earlier closed loop A - B B^T X_old (e.g. the
+    previous time step's), turns on chord steps: an iteration first takes
+    the full step delta solved with that frozen factor and keeps it if the
+    true residual falls CHORD_CONTRACTION-fold or passes the stop test;
+    otherwise, or after a kept chord step that contracted less than
+    CHORD_REFRESH-fold, the factor is refreshed at the current iterate and
+    the damped Newton step is taken, after which chord steps use the new
+    factor.  Without a factor every iteration is a damped Newton step.  The
+    stop test is the true relative residual in both cases.  X and every
+    delta are exactly symmetric, and so is each iterate.  info holds the
+    iterations (chord steps included), the Schur factorizations made and the
+    last factor, for the next call.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = symmetrize(np.asarray(Q, dtype=float))
     X = symmetrize(np.asarray(x_start, dtype=float))
+    q_norm = _fro(Q)
+    a_norm2 = 2.0 * _fro(A)
 
-    def resid(Y):
+    def state(Y):
+        """Residual, its norm, the residual denominator and B^T Y at Y."""
         BtY = B.T @ Y
-        return A.T @ Y + Y @ A - BtY.T @ BtY + Q
+        R = A.T @ Y + Y @ A - BtY.T @ BtY + Q
+        den = q_norm + a_norm2 * _fro(Y) + _fro(BtY) ** 2
+        return R, _fro(R), max(den, 1e-300), BtY
 
-    def den(Y):
-        return (
-            np.linalg.norm(Q, "fro")
-            + 2.0 * np.linalg.norm(A, "fro") * np.linalg.norm(Y, "fro")
-            + np.linalg.norm(B.T @ Y, "fro") ** 2
-        )
-
-    R = resid(X)
-    r = np.linalg.norm(R, "fro")
-    iters = 0
-    while r > tol * max(den(X), 1e-300):
+    chord = chord_mode = factor is not None
+    R, r, den, BtX = state(X)
+    iters = factorizations = 0
+    while r > tol * den:
         if iters >= maxit:
             raise MaxIterations(
-                f"damped CARE Newton: residual {r / max(den(X), 1e-300):.3e} "
-                f"after {maxit} steps"
+                f"damped CARE Newton: residual {r / den:.3e} after {maxit} steps"
             )
-        F_cl = A - B @ (B.T @ X)
+        iters += 1
+        if chord:
+            Xc = X + factor.solve(R)
+            Rc, rc, den_c, BtXc = state(Xc)
+            if np.isfinite(rc) and (rc <= CHORD_CONTRACTION * r or rc <= tol * den_c):
+                chord = rc <= CHORD_REFRESH * r
+                X, R, r, den, BtX = Xc, Rc, rc, den_c, BtXc
+                continue
         try:
-            delta = solve_lyapunov(F_cl, R)
+            factor = SchurFactor(A - B @ BtX)
+            delta = factor.solve(R)
         except SpectrumIncompatible as exc:
             raise MaxIterations(
                 f"damped CARE Newton hit a singular linearization: {exc}"
             ) from exc
+        factorizations += 1
         t = 1.0
         while True:
-            Xt = symmetrize(X + t * delta)
-            Rt = resid(Xt)
-            rt = np.linalg.norm(Rt, "fro")
+            Xt = X + t * delta
+            Rt, rt, den_t, BtXt = state(Xt)
             if rt <= (1.0 - 1e-4 * t) * r and np.all(np.isfinite(Rt)):
                 break
             t *= 0.5
             if t < 2.0 ** -16:
                 raise MaxIterations(
                     f"damped CARE Newton stalled at residual "
-                    f"{r / max(den(X), 1e-300):.3e} (no symmetric root reachable)"
+                    f"{r / den:.3e} (no symmetric root reachable)"
                 )
-        X, R, r = Xt, Rt, rt
-        iters += 1
+        X, R, r, den, BtX = Xt, Rt, rt, den_t, BtXt
+        chord = chord_mode
     if return_info:
-        return X, {"iterations": iters, "residual": r / max(den(X), 1e-300)}
+        return X, {"iterations": iters, "residual": r / den,
+                   "factorizations": factorizations, "factor": factor}
     return X
 
 

@@ -41,15 +41,19 @@ class MaxIterations(SolverError):
 
 
 class NotConverged(SolverError):
-    """An outer iteration hit m_max without passing the residual stop test."""
+    """An outer iteration stopped without passing the residual stop test.
 
-    def __init__(self, m_max, last_residual):
-        super().__init__(
-            f"no convergence after m_max={m_max} iterations "
-            f"(last residual {last_residual:.3e})"
-        )
+    It hit m_max, or (breakdown=True) its Krylov basis could not be expanded
+    past order m_max.
+    """
+
+    def __init__(self, m_max, last_residual, breakdown=False):
+        stop = (f"Krylov basis breakdown at m={m_max}" if breakdown
+                else f"no convergence after m_max={m_max} iterations")
+        super().__init__(f"{stop} (last residual {last_residual:.3e})")
         self.m_max = m_max
         self.last_residual = last_residual
+        self.breakdown = breakdown
 
 
 class StepFailure(SolverError):

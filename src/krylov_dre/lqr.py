@@ -172,7 +172,9 @@ def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
     the same extended Krylov subspaces as the trajectory solver, with the
     projected equation solved densely (warm started across m) and the
     coupling-block residual as the stop test.  Returns a dense matrix in the
-    small case and a factor Z (X ~ Z Z^T) in the large one.
+    small case and a factor Z (X ~ Z Z^T) in the large one.  Raises
+    NotConverged when m_max is hit or the basis breaks down before the
+    residual passes.
     """
     n = problem.n
     B, C = problem.B, problem.C
@@ -195,6 +197,6 @@ def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
             Y = solve_care(T_m.T, B_m, C_m.T @ C_m, x_init=None, tol=1e-14, maxit=60)
         y_prev = Y
         res = residual_estimate(basis, Y).value
-        if res < tol or basis.breakdown:
+        if res < tol:
             return basis.basis_matrix() @ psd_factor(Y, dtol)[0]
-    raise NotConverged(m_max, res)
+    raise NotConverged(basis.order, res, breakdown=basis.breakdown)

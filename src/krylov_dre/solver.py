@@ -89,14 +89,15 @@ def residual_estimate(basis, y_final) -> ResidualEstimate:
     return ResidualEstimate(m=basis.order, value=value, t_coupling=T_sub.copy())
 
 
-def extract_factor(basis, y_final, dtol, residual=None) -> LowRankSolution:
+def extract_factor(basis, y_final, dtol, residual=None, psd=None) -> LowRankSolution:
     """Recover Z with V Y V^T ~ Z Z^T without forming the n-by-n product.
 
     Y must be PSD up to a small negative tolerance; eigenvalues below
     -1e-8 * sigma_max raise IndefiniteY, small negatives are dropped.
+    psd is psd_factor(Y, dtol) when the caller has it already.
     """
     Y = symmetrize(np.asarray(y_final, dtype=float))
-    G, lam = psd_factor(Y, dtol)
+    G, lam = psd_factor(Y, dtol) if psd is None else psd
     if lam.size and lam[-1] < -PSD_RTOL * np.abs(lam).max():
         raise IndefiniteY(
             f"min eigenvalue {lam[-1]:.3e} below -{PSD_RTOL:g}*sigma_max"
@@ -143,8 +144,11 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     The projected DRE is re-integrated from t = 0 at every tested m (the
     projected state lives in a different space each time); the residual is
     tested at the final time only, every check_stride iterations.  Breakdown
-    of the Arnoldi process is benign and finalizes at the current basis with
-    a warning flag.  Raises NotConverged when m_max is hit.
+    of the Arnoldi process ends the loop: the returned solution is flagged
+    when the residual passes there (exactly 0 for an invariant subspace).
+    Raises NotConverged, with the last residual, when m_max is hit or the
+    basis breaks down before the residual passes, so every returned factor
+    is certified.
 
     sample_times requests factored snapshots X(t) ~ Z_t Z_t^T along the
     converged trajectory, returned in LowRankSolution.samples.
@@ -173,26 +177,26 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
             ))
             continue
         est = residual_estimate(basis, traj.final)
-        lam_f = np.linalg.eigvalsh(traj.final)
-        rank_now = int(np.sum(lam_f > config.dtol * max(np.abs(lam_f).max(), 1e-300)))
+        psd = psd_factor(traj.final, config.dtol)
         trace.append(ConvergenceRecord(
-            m=basis.order, residual=est.value, rank=rank_now,
+            m=basis.order, residual=est.value, rank=psd[0].shape[1],
             matvecs=handle.matvecs, solves=handle.solves,
             seconds=time.perf_counter() - t0,
         ))
-        if est.value < config.tol or basis.breakdown:
+        if est.value < config.tol:
             break
     else:
-        raise NotConverged(config.m_max, est.value)
+        raise NotConverged(basis.order, est.value, breakdown=basis.breakdown)
 
-    sol = extract_factor(basis, traj.final, config.dtol, residual=est)
-    sol.converged = est.value < config.tol
+    sol = extract_factor(basis, traj.final, config.dtol, residual=est, psd=psd)
     sol.trace = trace
     sol.step_stats = {
         "h": config.h,
         "newton_iters": traj.newton_iters,
+        "schur_factorizations": traj.schur_factorizations,
         "care_residuals": traj.care_residuals,
         "orders": traj.orders,
+        "euler_retakes": traj.euler_retakes,
     }
     if sample_times is not None:
         sol.samples = _factor_samples(basis, traj, config.dtol)

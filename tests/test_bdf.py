@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from krylov_dre import dense
 from krylov_dre.bdf import (
     assemble_care_step,
     bdf_coefficients,
@@ -198,3 +200,57 @@ def test_sample_times_recorded():
     config = SolverConfig(p=2, h=1e-2, care_tol=1e-13)
     traj = integrate(T, B, C, Y0, 1.0, config, sample_times=[0.25, 0.5])
     assert {0.25, 0.5, 1.0} <= {round(t, 10) for t in traj.times}
+
+
+class _CountingSchur:
+    """scipy.linalg with schur counted, as the benchmark tracer wraps dense's view of it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def schur(self, *args, **kwargs):
+        self.calls += 1
+        return sla.schur(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(sla, name)
+
+
+def test_frozen_schur_factor_serves_many_steps(monkeypatch):
+    # a criterion-6 sized problem (n=7, h=1e-4) in the dense orientation
+    rng = np.random.default_rng(424242)
+    n = 7
+    A = rng.standard_normal((n, n)) - (2.5 + rng.uniform()) * np.eye(n)
+    B = rng.standard_normal((n, 2))
+    C = rng.standard_normal((2, n))
+    L = 0.3 * rng.standard_normal((n, n))
+    config = SolverConfig(p=2, h=1e-4, care_tol=1e-13)
+    counting = _CountingSchur()
+    monkeypatch.setattr(dense, "sla", counting)
+    traj = integrate(A.T, B, C, L @ L.T + 0.4 * np.eye(n), 0.2, config)
+    steps = len(traj.orders)
+    assert steps == 2000
+    assert 0 < counting.calls < steps / 100
+    assert sum(traj.schur_factorizations) == counting.calls
+    assert len(traj.schur_factorizations) == steps
+    # chord steps count as iterations; every step is still certified
+    assert all(f <= i for f, i in zip(traj.schur_factorizations, traj.newton_iters))
+    assert max(traj.care_residuals) <= config.care_tol
+    assert traj.euler_retakes == 0
+
+
+def test_bdf_step_chord_matches_newton():
+    T = random_stable(4, seed=71).T
+    rng = np.random.default_rng(72)
+    B = rng.standard_normal((4, 2))
+    C = rng.standard_normal((2, 4))
+    W = rng.standard_normal((4, 4))
+    Y0 = W @ W.T
+    coeffs = bdf_coefficients(1)
+    first = assemble_care_step(T, B, C, [Y0], 1e-3, coeffs)
+    Y1, info1 = bdf_step(first, Y0, tol=1e-13)
+    second = assemble_care_step(T, B, C, [Y1], 1e-3, coeffs)
+    Y_newton, _ = bdf_step(second, Y1, tol=1e-13)
+    Y_chord, info2 = bdf_step(second, Y1, tol=1e-13, factor=info1["factor"])
+    assert info1["factorizations"] >= 1 and info2["factorizations"] == 0
+    assert np.linalg.norm(Y_chord - Y_newton) <= 1e-10 * np.linalg.norm(Y_newton)

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scipy.linalg as sla
+
 from krylov_dre.dense import (
+    SchurFactor,
+    _schur_eigenvalues,
     care_local_root,
     care_residual,
     lyapunov_residual,
@@ -152,6 +156,87 @@ def test_care_local_root_no_root_raises():
     Q = np.array([[-1.0]])     # s = -1; disc = 1 - 16 < 0
     with pytest.raises(MaxIterations):
         care_local_root(A, B, Q, x_start=np.zeros((1, 1)), maxit=40)
+
+
+def test_care_local_root_no_root_raises_with_factor():
+    # chord steps cannot reach a root that does not exist either
+    A, B, Q = np.array([[-0.5]]), np.array([[2.0]]), np.array([[-1.0]])
+    with pytest.raises(MaxIterations):
+        care_local_root(A, B, Q, x_start=np.zeros((1, 1)), maxit=40,
+                        factor=SchurFactor(A))
+
+
+def _care_5x5():
+    A = random_stable(5, seed=51)
+    rng = np.random.default_rng(52)
+    B = rng.standard_normal((5, 2))
+    C = rng.standard_normal((2, 5))
+    return A, B, C.T @ C
+
+
+def test_care_local_root_stale_factor_same_root():
+    A, B, Q = _care_5x5()
+    X_root = solve_care(A, B, Q)
+    start = X_root + 1e-3 * np.eye(5)
+    tol = 1e-12
+    X_plain, plain = care_local_root(A, B, Q, x_start=start, tol=tol, return_info=True)
+    # closed loop of a far-away X: its chord steps stall and the factor is refreshed
+    stale = SchurFactor(A - B @ (B.T @ (30.0 * X_root)))
+    X_chord, chord = care_local_root(A, B, Q, x_start=start, tol=tol, return_info=True,
+                                     factor=stale)
+    assert plain["residual"] <= tol and chord["residual"] <= tol
+    assert care_residual(A, B, Q, X_chord) <= tol
+    assert np.linalg.norm(X_chord - X_plain) <= 1e3 * tol * np.linalg.norm(X_plain)
+    assert chord["factorizations"] >= 1 and chord["factor"] is not stale
+    assert np.linalg.norm(X_chord - X_chord.T) == 0.0
+
+
+def test_care_local_root_fresh_factor_needs_no_factorization():
+    A, B, Q = _care_5x5()
+    X_root = solve_care(A, B, Q)
+    start = X_root + 1e-6 * np.eye(5)
+    factor = SchurFactor(A - B @ (B.T @ X_root))
+    X, info = care_local_root(A, B, Q, x_start=start, tol=1e-12, return_info=True,
+                              factor=factor)
+    assert info["factorizations"] == 0 and info["factor"] is factor
+    assert info["iterations"] >= 1 and info["residual"] <= 1e-12
+    assert np.allclose(X, X_root, atol=1e-9)
+
+
+def test_schur_factor_solves_many_right_hand_sides():
+    F = random_stable(6, seed=61)
+    rng = np.random.default_rng(62)
+    factor = SchurFactor(F)
+    for _ in range(3):
+        W = rng.standard_normal((6, 6))
+        Q = W + W.T
+        X = factor.solve(Q)
+        assert np.array_equal(X, solve_lyapunov(F, Q))
+        assert lyapunov_residual(F, Q, X) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(0, 12))
+def test_schur_eigenvalues_match_eigvals(seed, k):
+    # Q D Q^T with D quasi-triangular: 2x2 blocks [[a, b], [-c, a]] (b, c > 0)
+    # give complex pairs, the rest real eigenvalues
+    rng = np.random.default_rng(seed)
+    D = np.triu(rng.standard_normal((k, k)), 1)
+    i = 0
+    while i < k:
+        if i + 1 < k and rng.uniform() < 0.6:
+            a, b, c = rng.standard_normal(), rng.uniform(0.1, 3), rng.uniform(0.1, 3)
+            D[i:i + 2, i:i + 2] = [[a, b], [-c, a]]
+            i += 2
+        else:
+            D[i, i] = rng.standard_normal()
+            i += 1
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    T, _ = sla.schur(Q @ D @ Q.T, output="real")
+    ours = np.sort_complex(_schur_eigenvalues(T))
+    ref = np.sort_complex(np.linalg.eigvals(T)) if k else np.zeros(0, complex)
+    assert ours.shape == (k,)
+    assert np.allclose(ours, ref, rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------- expm

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from krylov_dre import lqr
+from krylov_dre.benchmarks import gen_convdiff2d
+from krylov_dre.errors import NotConverged
 from krylov_dre.lqr import (
     gain_schedule,
     optimal_cost,
@@ -146,3 +149,11 @@ def test_gain_schedule_shapes_and_dense_gain(solved49, convdiff49):
 def test_gain_schedule_requires_coverage(convdiff49):
     with pytest.raises(ValueError):
         gain_schedule([(0.5, np.zeros((49, 1)))], convdiff49.B, 1.0)
+
+
+def test_steady_state_partial_breakdown_raises(monkeypatch):
+    # the Krylov branch on a problem whose basis breaks down partially at m=2
+    monkeypatch.setattr(lqr, "DENSE_STEADY_MAX_N", 0)
+    with pytest.raises(NotConverged) as info:
+        steady_state(gen_convdiff2d(3, seed=1, t_f=0.1), tol=1e-10)
+    assert info.value.breakdown and info.value.last_residual > 1e-10

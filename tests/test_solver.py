@@ -183,6 +183,29 @@ def test_not_converged_raises():
         solve(problem, config)
 
 
+def test_partial_breakdown_raises_not_converged():
+    # the basis breaks down at m=6 with 24 of the 25 columns; the orthogonal
+    # remainder leaves a residual of 1.6e-7 > tol, so no factor is certified
+    problem = gen_convdiff2d(5, seed=3, t_f=0.1)
+    config = SolverConfig(p=2, h=1e-3, tol=1e-8)
+    with pytest.raises(NotConverged) as info:
+        solve(problem, config)
+    assert info.value.breakdown and info.value.m_max == 6
+    assert 1e-8 < info.value.last_residual < 1e-6
+
+
+def test_trace_rank_is_factor_rank(solved49):
+    assert solved49.trace[-1].rank == solved49.rank == solved49.Z.shape[1]
+
+
+def test_step_stats_report_factorizations_and_retakes(solved49):
+    ss = solved49.step_stats
+    assert len(ss["schur_factorizations"]) == len(ss["orders"]) == len(ss["newton_iters"])
+    # the frozen closed-loop factor serves most steps
+    assert sum(ss["schur_factorizations"]) < len(ss["orders"]) / 10
+    assert ss["euler_retakes"] == 0
+
+
 def test_monotone_workload_in_tolerance():
     problem = gen_convdiff2d(10, seed=11, t_f=1.0)
     ms, ranks = [], []
