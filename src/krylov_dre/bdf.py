@@ -16,6 +16,9 @@ import numpy as np
 from .dense import care_local_root, symmetrize
 from .errors import SolverError, StepFailure, UnsupportedOrder
 
+# Iteration cap of each step's CARE solve.
+CARE_MAXIT = 50
+
 _BDF_TABLE = {
     1: (1.0, (1.0,)),
     2: (2.0 / 3.0, (4.0 / 3.0, -1.0 / 3.0)),
@@ -39,74 +42,6 @@ def bdf_coefficients(p) -> BDFCoefficients:
 
 
 @dataclass
-class CareStepData:
-    """Per-step CARE coefficients.
-
-    curly_a = h*beta*T - I/2, curly_b = sqrt(h*beta)*Bm and
-    q_step = h*beta*Cm^T Cm + sum_i alpha_i Y_{k-i}.  q_step is symmetric but
-    indefinite in general (negative alpha_i for p >= 2).
-    """
-
-    curly_a: np.ndarray
-    curly_b: np.ndarray
-    q_step: np.ndarray
-
-
-@dataclass
-class _OrderTerms:
-    """The parts of a BDF(p) step CARE that do not change from step to step."""
-
-    coeffs: BDFCoefficients
-    curly_a: np.ndarray
-    curly_b: np.ndarray
-    q_const: np.ndarray
-
-
-def _order_terms(T, B_m, C_m, h, coeffs: BDFCoefficients) -> _OrderTerms:
-    hb = h * coeffs.beta
-    return _OrderTerms(
-        coeffs=coeffs,
-        curly_a=hb * T - 0.5 * np.eye(T.shape[0]),
-        curly_b=np.sqrt(hb) * B_m,
-        q_const=hb * (C_m.T @ C_m),
-    )
-
-
-def _care_step(terms: _OrderTerms, history) -> CareStepData:
-    q = terms.q_const
-    for a_i, Y_i in zip(terms.coeffs.alpha, history):
-        q = q + a_i * Y_i
-    return CareStepData(curly_a=terms.curly_a, curly_b=terms.curly_b, q_step=symmetrize(q))
-
-
-def assemble_care_step(T, B_m, C_m, history, h, coeffs: BDFCoefficients) -> CareStepData:
-    """Assemble the CARE defining the next BDF iterate.
-
-    history holds exactly p previous iterates, most recent first.
-    """
-    if len(history) != coeffs.p:
-        raise ValueError(f"history must hold exactly p={coeffs.p} matrices")
-    return _care_step(_order_terms(T, B_m, C_m, h, coeffs), history)
-
-
-def bdf_step(step: CareStepData, warm_start, tol=1e-12, maxit=50, factor=None):
-    """Solve one implicit BDF step, Newton warm started at Y_k.
-
-    The projected DRE has its linear term in the orientation T Y + Y T^T, so
-    the CARE kernel (which uses A^T X + X A) receives curly_a transposed.
-    The damped local Newton is used because steps across a stiff transient
-    can have non-stabilizing (or slightly indefinite) roots that the strict
-    stabilizing iteration cannot reach.  factor, the closed-loop Schur factor
-    returned in info by an earlier step of the same order, turns on the
-    kernel's chord steps.
-    """
-    return care_local_root(
-        step.curly_a.T, step.curly_b, step.q_step,
-        x_start=warm_start, tol=tol, maxit=maxit, return_info=True, factor=factor,
-    )
-
-
-@dataclass
 class ProjectedTrajectory:
     """Stored samples of the projected trajectory plus per-step statistics.
 
@@ -115,7 +50,8 @@ class ProjectedTrajectory:
     checks.  newton_iters (chord steps included), schur_factorizations
     (closed-loop Schur factorizations; 0 for a step solved by chord steps
     alone), care_residuals and orders are per-step logs of the accepted step
-    solves; euler_retakes counts the BDF(p) steps retaken as implicit Euler.
+    solves; euler_retakes counts the BDF(p) steps retaken as implicit Euler,
+    whose newton_iters and schur_factorizations include the failed attempt.
     """
 
     times: np.ndarray
@@ -150,13 +86,13 @@ def step_grid(t_f, h, sample_times=None):
     return n_steps, sample_idx
 
 
-def integrate(T, B_m, C_m, Y0, t_f, config, store="final", sample_times=None) -> ProjectedTrajectory:
+def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTrajectory:
     """BDF(p) integration of the projected DRE from Y0 to t_f.
 
     The first p-1 steps use lower-order BDF (implicit Euler first, then
-    BDF(2)) so no off-grid starting values are needed.  store is 'final' or
-    'all'; sample_times additionally records the states nearest to the given
-    times.  CARE failures are wrapped in StepFailure with the step index.
+    BDF(2)) so no off-grid starting values are needed.  The final state and
+    the states nearest to sample_times are recorded.  CARE failures are
+    wrapped in StepFailure with the step index.
     """
     config.validate()
     p = config.p
@@ -165,24 +101,36 @@ def integrate(T, B_m, C_m, Y0, t_f, config, store="final", sample_times=None) ->
     Y = symmetrize(np.asarray(Y0, dtype=float))
     traj = ProjectedTrajectory(times=[0.0], ys=[Y], tail=[Y])
     history = [Y]
-    # Per BDF order (curly_a depends on it through h*beta): the constant
-    # terms of its step CARE and the last closed-loop Schur factor, which
-    # the next step of that order reuses for chord steps.
+    # A BDF step solves the CARE A^T Y + Y A - Y B B^T Y + Q = 0 with
+    # A = (h beta T - I/2)^T, B = sqrt(h beta) B_m and
+    # Q = h beta C_m^T C_m + sum_i alpha_i Y_{k-i}, symmetric but indefinite
+    # for orders >= 2.  Per order: the terms that do not change from step to
+    # step, and the last closed-loop Schur factor, which the next step of
+    # that order reuses for chord steps.
     terms = {}
     factors = {}
 
     def take_step(order):
         if order not in terms:
-            terms[order] = _order_terms(T, B_m, C_m, h, bdf_coefficients(order))
-        step = _care_step(terms[order], history[:order])
-        Y, info = bdf_step(step, history[0], tol=config.care_tol,
-                           maxit=config.care_maxit, factor=factors.get(order))
-        if info["factor"] is not None:
-            factors[order] = info["factor"]
+            coeffs = bdf_coefficients(order)
+            hb = h * coeffs.beta
+            terms[order] = (coeffs.alpha, (hb * T - 0.5 * np.eye(T.shape[0])).T,
+                            np.sqrt(hb) * B_m, hb * (C_m.T @ C_m))
+        alpha, A, B, q = terms[order]
+        for a_i, Y_i in zip(alpha, history):
+            q = q + a_i * Y_i
+        # The damped local Newton, not the stabilizing Newton-Kleinman: steps
+        # across a stiff transient can have non-stabilizing (or slightly
+        # indefinite) roots that the strict stabilizing iteration cannot reach.
+        Y, info = care_local_root(A, B, symmetrize(q), x_start=history[0],
+                                  tol=config.care_tol, maxit=CARE_MAXIT,
+                                  return_info=True, factor=factors.get(order))
+        factors[order] = info["factor"]
         return Y, info
 
     for k in range(1, n_steps + 1):
         order = min(p, k)
+        lost = (0, 0)
         try:
             Y, info = take_step(order)
         except SolverError as exc:
@@ -190,22 +138,25 @@ def integrate(T, B_m, C_m, Y0, t_f, config, store="final", sample_times=None) ->
                 raise StepFailure(k, str(exc)) from exc
             # The implicit equation of a multistep over a stiff transient can
             # lack a symmetric root entirely; fall back to implicit Euler for
-            # this step (local error O(h^2), same as the startup ramp).
+            # this step (local error O(h^2), same as the startup ramp).  The
+            # failed attempt's work counts towards the step; its factor is
+            # dropped.
+            lost = (getattr(exc, "iterations", 0), getattr(exc, "factorizations", 0))
             order = 1
             traj.euler_retakes += 1
             try:
                 Y, info = take_step(1)
             except SolverError as exc2:
                 raise StepFailure(k, str(exc2)) from exc2
-        traj.newton_iters.append(info["iterations"])
-        traj.schur_factorizations.append(info["factorizations"])
+        traj.newton_iters.append(info["iterations"] + lost[0])
+        traj.schur_factorizations.append(info["factorizations"] + lost[1])
         traj.care_residuals.append(info["residual"])
         traj.orders.append(order)
         history.insert(0, Y)
         del history[p:]
         traj.tail.append(Y)
         del traj.tail[: max(0, len(traj.tail) - (p + 1))]
-        if store == "all" or k == n_steps or k in sample_idx:
+        if k == n_steps or k in sample_idx:
             traj.times.append(k * h)
             traj.ys.append(Y)
 

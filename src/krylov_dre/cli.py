@@ -57,7 +57,6 @@ def _add_config_args(p):
     p.add_argument("--dtol", type=float, default=None)
     p.add_argument("--check-stride", type=int, default=None)
     p.add_argument("--care-tol", type=float, default=None)
-    p.add_argument("--care-maxit", type=int, default=None)
 
 
 def build_problem(args):
@@ -87,7 +86,7 @@ def build_config(args):
     overrides = {
         "p": args.p, "h": args.h, "tol": args.tol, "m_max": args.m_max,
         "dtol": args.dtol, "check_stride": args.check_stride,
-        "care_tol": args.care_tol, "care_maxit": args.care_maxit,
+        "care_tol": args.care_tol,
     }
     for key, val in overrides.items():
         if val is not None:

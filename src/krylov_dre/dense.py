@@ -222,7 +222,8 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
     stop test is the true relative residual in both cases.  X and every
     delta are exactly symmetric, and so is each iterate.  info holds the
     iterations (chord steps included), the Schur factorizations made and the
-    last factor, for the next call.
+    last factor, for the next call; a MaxIterations raised carries the
+    iterations and factorizations made before it.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -244,7 +245,8 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
     while r > tol * den:
         if iters >= maxit:
             raise MaxIterations(
-                f"damped CARE Newton: residual {r / den:.3e} after {maxit} steps"
+                f"damped CARE Newton: residual {r / den:.3e} after {maxit} steps",
+                iters, factorizations,
             )
         iters += 1
         if chord:
@@ -254,14 +256,15 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
                 chord = rc <= CHORD_REFRESH * r
                 X, R, r, den, BtX = Xc, Rc, rc, den_c, BtXc
                 continue
+        factorizations += 1
         try:
             factor = SchurFactor(A - B @ BtX)
             delta = factor.solve(R)
         except SpectrumIncompatible as exc:
             raise MaxIterations(
-                f"damped CARE Newton hit a singular linearization: {exc}"
+                f"damped CARE Newton hit a singular linearization: {exc}",
+                iters, factorizations,
             ) from exc
-        factorizations += 1
         t = 1.0
         while True:
             Xt = X + t * delta
@@ -272,7 +275,8 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
             if t < 2.0 ** -16:
                 raise MaxIterations(
                     f"damped CARE Newton stalled at residual "
-                    f"{r / den:.3e} (no symmetric root reachable)"
+                    f"{r / den:.3e} (no symmetric root reachable)",
+                    iters, factorizations,
                 )
         X, R, r, den, BtX = Xt, Rt, rt, den_t, BtXt
         chord = chord_mode

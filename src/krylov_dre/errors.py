@@ -37,7 +37,16 @@ class NoStabilizingGuess(SolverError):
 
 
 class MaxIterations(SolverError):
-    """An iterative kernel hit its iteration cap before reaching its tolerance."""
+    """An iterative kernel hit its iteration cap before reaching its tolerance.
+
+    iterations and factorizations count the work done before it stopped, for
+    callers that retake the solve another way.
+    """
+
+    def __init__(self, message, iterations=0, factorizations=0):
+        super().__init__(message)
+        self.iterations = iterations
+        self.factorizations = factorizations
 
 
 class NotConverged(SolverError):

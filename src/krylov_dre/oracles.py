@@ -1,16 +1,15 @@
 """Desk-scale ground truth: closed-form trajectory and a dense reference integrator.
 
-The closed-form trajectory of the equation dX/dt = A^T X + X A - X BB^T X
-+ C^T C reads
+The closed form of dX/dt = A^T X + X A - X BB^T X + C^T C follows from the
+Bernoulli substitution.  Let Xt be the stabilizing algebraic solution and
+At = A - B B^T Xt its closed loop.  D = X - Xt obeys
 
-    X(t) = Xt + e^{t At^T} [ e^{t At} Zt e^{t At^T} + (X0 - Xt)^{-1} - Zt ]^{-1} E,
+    dD/dt = At^T D + D At - D B B^T D,
 
-with Xt the stabilizing algebraic solution, At = A - B B^T Xt the closed
-loop, Zt a Lyapunov solution in B B^T, and E one of the two exponential
-factors.  Published statements of this formula disagree on the sign of the
-Zt equation and on whether the trailing factor is transposed, so both choices
-are treated as candidates and the single combination that reproduces an
-independent time integration is selected empirically once and cached.
+so W = D^{-1} - Zt, with At Zt + Zt At^T = B B^T, obeys the linear equation
+dW/dt = -At W - W At^T, i.e. W(t) = e^{-t At} W(0) e^{-t At^T}.  Inverting,
+
+    X(t) = Xt + e^{t At^T} [ e^{t At} Zt e^{t At^T} + (X0 - Xt)^{-1} - Zt ]^{-1} e^{t At}.
 """
 
 from __future__ import annotations
@@ -28,17 +27,11 @@ from .errors import (
     NoStabilizingGuess,
     NotStabilizable,
     SingularBracket,
-    SolverError,
     SpectrumIncompatible,
 )
-from .problem import DREProblem, SolverConfig
+from .problem import SolverConfig
 
 MAX_ORACLE_N = 200
-
-SIGN_CHOICES = ("as_printed", "flipped")       # At Z + Z At^T -/+ B B^T = 0
-FINAL_CHOICES = ("plain", "transposed")        # trailing e^{t At} vs e^{t At^T}
-
-_resolved_convention = None
 
 
 @dataclass
@@ -55,7 +48,7 @@ def _dense_a(problem):
     return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
 
 
-def oracle_data(problem, sign="as_printed") -> OracleData:
+def oracle_data(problem) -> OracleData:
     """Algebraic solution, closed loop and Lyapunov companion for the formula."""
     A = _dense_a(problem)
     B, C = problem.B, problem.C
@@ -66,32 +59,9 @@ def oracle_data(problem, sign="as_printed") -> OracleData:
     except (NoStabilizingGuess, SpectrumIncompatible) as exc:
         raise NotStabilizable(str(exc)) from exc
     At = A - B @ (B.T @ Xt)
-    rhs = B @ B.T if sign == "as_printed" else -(B @ B.T)
-    # solve At Z + Z At^T = rhs  <=>  (At^T)^T Z + Z At^T + (-rhs) = 0
-    Zt = solve_lyapunov(At.T, -rhs)
+    # solve At Z + Z At^T = B B^T  <=>  (At^T)^T Z + Z At^T - B B^T = 0
+    Zt = solve_lyapunov(At.T, -(B @ B.T))
     return OracleData(x_tilde=Xt, a_tilde=At, z_tilde=Zt)
-
-
-def _evaluate_formula(data: OracleData, X0, t, final):
-    Xt, At, Zt = data.x_tilde, data.a_tilde, data.z_tilde
-    D0 = X0 - Xt
-    E = matrix_exponential(t * At)
-    try:
-        inv_d0 = np.linalg.inv(D0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBracket("X0 - Xtilde is singular") from exc
-    bracket = E @ Zt @ E.T + inv_d0 - Zt
-    cond = np.linalg.cond(bracket)
-    if not np.isfinite(cond):
-        raise SingularBracket("bracketed matrix is singular")
-    if cond > 1e12:
-        warnings.warn(f"bracket condition number {cond:.2e}", stacklevel=2)
-    try:
-        core = np.linalg.inv(bracket)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBracket("bracketed matrix is singular") from exc
-    last = E.T if final == "transposed" else E
-    return symmetrize(Xt + E.T @ core @ last)
 
 
 def dense_reference_integrate(problem, h_ref, t_grid, p=2, care_tol=1e-13):
@@ -120,75 +90,36 @@ def dense_reference_integrate(problem, h_ref, t_grid, p=2, care_tol=1e-13):
 
 
 def resolve_convention(force=False):
-    """Pick the (sign, final-factor) pair that matches the reference integrator.
+    """The (Zt equation sign, trailing factor) pair of the closed form: derived, not probed.
 
-    Probes a scalar instance with a known analytic solution and a seeded
-    nonnormal 5-by-5 instance; exactly one of the four candidates must agree
-    with the dense integration on every probe, otherwise SolverError is
-    raised.  The result is cached for the process lifetime.
+    ("as_printed", "plain") is At Zt + Zt At^T = + B B^T with the trailing
+    factor e^{t At}; see the module docstring.  force is accepted and ignored.
     """
-    global _resolved_convention
-    if _resolved_convention is not None and not force:
-        return _resolved_convention
-
-    probes = [_scalar_probe(), _seeded_probe(5, seed=20240811)]
-    survivors = []
-    for sign in SIGN_CHOICES:
-        for final in FINAL_CHOICES:
-            ok = True
-            for problem, t_check, X_ref in probes:
-                data = oracle_data(problem, sign=sign)
-                X0 = problem.Z0 @ problem.Z0.T
-                try:
-                    X = _evaluate_formula(data, X0, t_check, final)
-                except SolverError:
-                    ok = False
-                    break
-                scale = max(np.linalg.norm(X_ref, "fro"), 1e-300)
-                if np.linalg.norm(X - X_ref, "fro") / scale > 1e-6:
-                    ok = False
-                    break
-            if ok:
-                survivors.append((sign, final))
-    if len(survivors) != 1:
-        raise SolverError(
-            f"convention resolution failed: candidates {survivors or 'none'} matched"
-        )
-    _resolved_convention = survivors[0]
-    return _resolved_convention
+    return ("as_printed", "plain")
 
 
-def _scalar_probe():
-    problem = DREProblem(
-        A=np.array([[0.0]]), B=np.array([[1.0]]), C=np.array([[1.0]]),
-        Z0=np.array([[np.sqrt(2.0)]]), t_f=1.0,
-    )
-    t = 0.7
-    x_exact = (3.0 + np.exp(-2 * t)) / (3.0 - np.exp(-2 * t))
-    return problem, t, np.array([[x_exact]])
-
-
-def _seeded_probe(n, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
-    B = rng.standard_normal((n, 2))
-    C = rng.standard_normal((2, n))
-    L = rng.standard_normal((n, n)) * 0.3
-    Z0 = np.linalg.cholesky(L @ L.T + 0.5 * np.eye(n))
-    problem = DREProblem(A=A, B=B, C=C, Z0=Z0, t_f=1.0)
-    t = 0.8
-    X_ref = dense_reference_integrate(problem, h_ref=2e-4, t_grid=[t])[0]
-    return problem, t, X_ref
-
-
-def exact_solution(problem, t, convention=None):
-    """Closed-form X(t); requires n <= 200, X(0) positive definite.
-
-    Uses the empirically resolved convention unless one is passed explicitly.
-    """
+def exact_solution(problem, t):
+    """Closed-form X(t); requires n <= 200, X(0) positive definite."""
     X0 = problem.Z0 @ problem.Z0.T
     lam = np.linalg.eigvalsh(symmetrize(X0))
     if lam.min() <= 0.0:
         raise ValueError("closed-form trajectory requires X(0) > 0")
-    sign, final = resolve_convention() if convention is None else convention
-    return _evaluate_formula(oracle_data(problem, sign=sign), X0, t, final)
+    data = oracle_data(problem)
+    Xt, At, Zt = data.x_tilde, data.a_tilde, data.z_tilde
+    D0 = X0 - Xt
+    E = matrix_exponential(t * At)
+    try:
+        inv_d0 = np.linalg.inv(D0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBracket("X0 - Xtilde is singular") from exc
+    bracket = E @ Zt @ E.T + inv_d0 - Zt
+    cond = np.linalg.cond(bracket)
+    if not np.isfinite(cond):
+        raise SingularBracket("bracketed matrix is singular")
+    if cond > 1e12:
+        warnings.warn(f"bracket condition number {cond:.2e}", stacklevel=2)
+    try:
+        core = np.linalg.inv(bracket)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBracket("bracketed matrix is singular") from exc
+    return symmetrize(Xt + E.T @ core @ E)

@@ -66,15 +66,14 @@ class SolverConfig:
     dtol: float = 1e-12
     check_stride: int = 1
     care_tol: float = 1e-12
-    care_maxit: int = 50
 
     def validate(self):
         if self.p not in (1, 2, 3):
             raise ValueError(f"BDF order p must be in {{1,2,3}}, got {self.p}")
         if self.h <= 0 or self.tol <= 0 or self.dtol <= 0:
             raise ValueError("h, tol and dtol must be positive")
-        if self.check_stride < 1 or self.m_max < 1 or self.care_maxit < 1:
-            raise ValueError("check_stride, m_max, care_maxit must be >= 1")
+        if self.check_stride < 1 or self.m_max < 1:
+            raise ValueError("check_stride and m_max must be >= 1")
         return self
 
 

@@ -5,15 +5,10 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from krylov_dre import dense
-from krylov_dre.bdf import (
-    assemble_care_step,
-    bdf_coefficients,
-    bdf_step,
-    integrate,
-    step_grid,
-)
-from krylov_dre.errors import UnsupportedOrder
+from krylov_dre import bdf, dense, solver
+from krylov_dre.bdf import bdf_coefficients, integrate, step_grid
+from krylov_dre.benchmarks import gen_convdiff2d
+from krylov_dre.errors import MaxIterations, UnsupportedOrder
 from krylov_dre.problem import SolverConfig
 
 from conftest import random_stable
@@ -24,6 +19,29 @@ TANH1 = math.tanh(1.0)
 def _scalar_system():
     one = np.ones((1, 1))
     return np.zeros((1, 1)), one, one, np.zeros((1, 1))
+
+
+def _random_system(k, seed):
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((k, k))
+    B = rng.standard_normal((k, 2))
+    C = rng.standard_normal((2, k))
+    W = rng.standard_normal((k, k))
+    return T, B, C, 0.1 * (W @ W.T)
+
+
+def _rhs(T, B, C, Y):
+    """Right-hand side T Y + Y T^T - Y B B^T Y + C^T C of the projected DRE."""
+    BtY = B.T @ Y
+    return T @ Y + Y @ T.T - BtY.T @ BtY + C.T @ C
+
+
+def _steps(T, B, C, Y0, h, n, p=2, care_tol=1e-13):
+    """Y0 and the first n BDF iterates."""
+    config = SolverConfig(p=p, h=h, care_tol=care_tol)
+    traj = integrate(T, B, C, Y0, n * h, config, sample_times=np.arange(n + 1) * h)
+    assert len(traj.ys) == n + 1
+    return traj
 
 
 def test_coefficients_table_exact():
@@ -49,46 +67,34 @@ def test_unsupported_order():
 
 
 def test_assemble_direct_p1():
-    k = 3
-    step = assemble_care_step(
-        np.zeros((k, k)), np.zeros((k, 1)), np.zeros((1, k)),
-        [np.eye(k)], 1.0, bdf_coefficients(1),
-    )
-    assert np.allclose(step.curly_a, -0.5 * np.eye(k))
-    assert np.allclose(step.q_step, np.eye(k))
+    # the first step is implicit Euler: Y1 = Y0 + h F(Y1)
+    T, B, C, Y0 = _random_system(4, seed=0)
+    h = 1e-2
+    traj = _steps(T, B, C, Y0, h, 1)
+    Y0, Y1 = traj.ys
+    assert traj.orders == [1]
+    defect = Y0 + h * _rhs(T, B, C, Y1) - Y1
+    assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(Y1)
 
 
 def test_assemble_p2_formula():
-    rng = np.random.default_rng(0)
-    k = 4
-    T = rng.standard_normal((k, k))
-    B = rng.standard_normal((k, 2))
-    C = rng.standard_normal((2, k))
-    Yk = rng.standard_normal((k, k)); Yk = Yk + Yk.T
-    Ykm1 = rng.standard_normal((k, k)); Ykm1 = Ykm1 + Ykm1.T
-    h = 1e-3
-    step = assemble_care_step(T, B, C, [Yk, Ykm1], h, bdf_coefficients(2))
-    expected = (2 * h / 3) * (C.T @ C) + (4.0 / 3.0) * Yk - (1.0 / 3.0) * Ykm1
-    assert np.allclose(step.q_step, 0.5 * (expected + expected.T), atol=1e-14)
-    assert np.allclose(step.curly_a, (2 * h / 3) * T - 0.5 * np.eye(k))
-    assert np.allclose(step.curly_b, math.sqrt(2 * h / 3) * B)
+    # the second step is BDF(2): Y2 = 4/3 Y1 - 1/3 Y0 + 2h/3 F(Y2)
+    T, B, C, Y0 = _random_system(4, seed=0)
+    h = 1e-2
+    traj = _steps(T, B, C, Y0, h, 2)
+    Y0, Y1, Y2 = traj.ys
+    assert traj.orders == [1, 2]
+    defect = (4.0 / 3.0) * Y1 - (1.0 / 3.0) * Y0 + (2.0 * h / 3.0) * _rhs(T, B, C, Y2) - Y2
+    assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(Y2)
 
 
 def test_assembled_q_exactly_symmetric():
-    rng = np.random.default_rng(1)
-    k = 5
-    T = rng.standard_normal((k, k))
-    C = rng.standard_normal((2, k))
-    Y = rng.standard_normal((k, k)); Y = 0.5 * (Y + Y.T)
-    step = assemble_care_step(T, rng.standard_normal((k, 2)), C, [Y], 0.01,
-                              bdf_coefficients(1))
-    assert np.linalg.norm(step.q_step - step.q_step.T) == 0.0
-
-
-def test_history_length_checked():
-    with pytest.raises(ValueError):
-        assemble_care_step(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
-                           [np.zeros((1, 1))], 0.1, bdf_coefficients(2))
+    # BDF(2) steps have an indefinite constant term; every iterate stays exactly symmetric
+    T, B, C, Y0 = _random_system(5, seed=1)
+    traj = _steps(T, B, C, Y0, 1e-2, 5)
+    assert traj.orders == [1, 2, 2, 2, 2]
+    for Y in traj.ys:
+        assert np.linalg.norm(Y - Y.T) == 0.0
 
 
 def test_bdf_step_stationary_fixed_point():
@@ -100,9 +106,9 @@ def test_bdf_step_stationary_fixed_point():
     C = rng.standard_normal((1, 4))
     # stationary Y solves T Y + Y T^T - Y B B^T Y + C^T C = 0 with T = A^T
     Y_star = solve_care(A, B, C.T @ C)
-    step = assemble_care_step(A.T, B, C, [Y_star], 1e-2, bdf_coefficients(1))
-    Y1, info = bdf_step(step, Y_star, tol=1e-13)
-    assert np.linalg.norm(Y1 - Y_star, "fro") <= 1e-10 * np.linalg.norm(Y_star, "fro")
+    traj = _steps(A.T, B, C, Y_star, 1e-2, 3)
+    for Y in traj.ys[1:]:
+        assert np.linalg.norm(Y - Y_star, "fro") <= 1e-10 * np.linalg.norm(Y_star, "fro")
 
 
 def test_scalar_euler_error_bound():
@@ -181,7 +187,8 @@ def test_symmetry_and_psd_preserved_p1():
     W = rng.standard_normal((k, 2))
     Y0 = W @ W.T
     config = SolverConfig(p=1, h=1e-2, care_tol=1e-13)
-    traj = integrate(T, B, C, Y0, 0.2, config, store="all")
+    traj = integrate(T, B, C, Y0, 0.2, config, sample_times=np.arange(21) * 1e-2)
+    assert len(traj.ys) == 21
     for Y in traj.ys:
         assert np.linalg.norm(Y - Y.T) == 0.0
         assert np.linalg.eigvalsh(Y).min() >= -1e-10 * max(np.linalg.norm(Y, 2), 1)
@@ -245,12 +252,43 @@ def test_bdf_step_chord_matches_newton():
     B = rng.standard_normal((4, 2))
     C = rng.standard_normal((2, 4))
     W = rng.standard_normal((4, 4))
-    Y0 = W @ W.T
-    coeffs = bdf_coefficients(1)
-    first = assemble_care_step(T, B, C, [Y0], 1e-3, coeffs)
-    Y1, info1 = bdf_step(first, Y0, tol=1e-13)
-    second = assemble_care_step(T, B, C, [Y1], 1e-3, coeffs)
-    Y_newton, _ = bdf_step(second, Y1, tol=1e-13)
-    Y_chord, info2 = bdf_step(second, Y1, tol=1e-13, factor=info1["factor"])
-    assert info1["factorizations"] >= 1 and info2["factorizations"] == 0
+    # the second step reuses the first step's Schur factor (chord steps only);
+    # restarted from Y1 without a factor it takes Newton steps instead
+    traj = _steps(T, B, C, W @ W.T, 1e-3, 2, p=1)
+    Y1, Y_chord = traj.ys[1:]
+    newton = _steps(T, B, C, Y1, 1e-3, 1, p=1)
+    assert traj.schur_factorizations[0] >= 1 and traj.schur_factorizations[1] == 0
+    assert newton.schur_factorizations[0] >= 1
+    Y_newton = newton.final
     assert np.linalg.norm(Y_chord - Y_newton) <= 1e-10 * np.linalg.norm(Y_newton)
+
+
+def test_retaken_step_counts_failed_attempt(monkeypatch):
+    # this problem's last checked order (m=9) retakes BDF(2) step 3 as implicit Euler
+    calls = []
+
+    def recording(*args, **kwargs):
+        try:
+            Y, info = dense.care_local_root(*args, **kwargs)
+        except MaxIterations as exc:
+            calls.append(("failed", exc.iterations, exc.factorizations))
+            raise
+        calls.append(("solved", info["iterations"], info["factorizations"]))
+        return Y, info
+
+    def last_integration(*args, **kwargs):
+        calls.clear()
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(bdf, "care_local_root", recording)
+    monkeypatch.setattr(solver, "integrate", last_integration)
+    problem = gen_convdiff2d(10, seed=11, t_f=1.0)
+    sol = solver.solve(problem, SolverConfig(p=2, h=5e-3, tol=1e-8, m_max=30))
+    stats = sol.step_stats
+    assert sol.m == 9 and stats["euler_retakes"] == 1 and stats["orders"][:4] == [1, 2, 1, 2]
+    failed, retake = calls[2], calls[3]
+    assert failed[0] == "failed" and retake[0] == "solved"
+    assert stats["newton_iters"][2] == failed[1] + retake[1] > retake[1]
+    assert stats["schur_factorizations"][2] == failed[2] + retake[2] > retake[2]
+    # one solve per step apart from the failed attempt
+    assert len(calls) == len(stats["orders"]) + 1

@@ -9,8 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from krylov_dre import benchmarks, dense, lowrank, solver
-from krylov_dre.problem import SolverConfig
+import numpy as np
+
+from krylov_dre import benchmarks, dense, lowrank, oracles, solver
+from krylov_dre.problem import DREProblem, SolverConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -54,3 +56,25 @@ def test_tracer_installs_and_restores_every_binding():
     # frozen closed-loop factor serves many BDF steps
     assert tr.calls["dense.trsyl"] > 0
     assert 0 < tr.calls["dense.schur"] < tr.counts["bdf.steps"]
+
+
+def test_tracer_covers_the_oracle_layer():
+    tracing = _load_tracing()
+    rng = np.random.default_rng(5)
+    n = 5
+    problem = DREProblem(A=rng.standard_normal((n, n)) - 3.0 * np.eye(n),
+                         B=rng.standard_normal((n, 2)), C=rng.standard_normal((2, n)),
+                         Z0=np.eye(n), t_f=0.1)
+    before = _bindings()
+    tr = tracing.Tracer()
+    with tr.installed():
+        oracles.exact_solution(problem, 0.1)
+        oracles.dense_reference_integrate(problem, 1e-2, [0.1])
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    assert tr.calls["oracles.exact_solution"] == 1
+    assert tr.calls["oracles.reference_integrate"] == 1
+    # the algebraic solution of the closed form, and the per-step CARE of the reference
+    assert tr.calls["dense.solve_care"] >= 1
+    assert tr.calls["dense.care"] == 10
