@@ -40,6 +40,8 @@ from .solver import ConvergenceRecord, LowRankSolution
 # Columns of a stacked constant factor below this relative spectral weight are
 # dropped before seeding a Krylov space.
 SEED_RTOL = 1e-13
+# Newton iterations per implicit step before MaxIterations.
+NEWTON_MAXIT = 30
 
 
 class ClosedLoopOperator:
@@ -57,14 +59,6 @@ class ClosedLoopOperator:
         self._Wt = s_handle.solve_t(W)
         core = np.eye(U.shape[1]) - U.T @ self._Wt
         self._core_lu = sla.lu_factor(core)
-
-    @property
-    def matvecs(self):
-        return self.s.matvecs
-
-    @property
-    def solves(self):
-        return self.s.solves
 
     def apply_t(self, V):
         return self.s.apply_t(V) - self.W @ (self.U.T @ V)
@@ -226,7 +220,7 @@ def _shifted_operator(A, hb):
     return factorize(hb * np.asarray(A, dtype=float) - 0.5 * np.eye(n))
 
 
-def _baseline_step(problem, config, handles, history, order, h, newton_maxit):
+def _baseline_step(problem, config, handles, history, order, h):
     """One implicit step at the given order: Newton with factored iterates.
 
     Returns (iterate, residual estimate, constant-term scale).  Raises
@@ -257,7 +251,7 @@ def _baseline_step(problem, config, handles, history, order, h, newton_maxit):
         X_it = X_start
         best, best_at = np.inf, 0
         try:
-            for it in range(1, newton_maxit + 1):
+            for it in range(1, NEWTON_MAXIT + 1):
                 X_next = newton_step_large(ctx, X_it)
                 diffB = X_next.apply(curly_b) - X_it.apply(curly_b)
                 est = float(np.linalg.norm(diffB, 2)) ** 2 + 2 * ctx.lyap_tol
@@ -271,14 +265,14 @@ def _baseline_step(problem, config, handles, history, order, h, newton_maxit):
                         f"baseline Newton stalled: estimate {est:.3e} after {it} iterations"
                     )
             raise MaxIterations(
-                f"baseline Newton: estimate {est:.3e} after {newton_maxit} iterations"
+                f"baseline Newton: estimate {est:.3e} after {NEWTON_MAXIT} iterations"
             )
         except SolverError as exc:
             last_exc = exc
     raise last_exc
 
 
-def solve_baseline(problem, config, newton_maxit=30, sample_times=None) -> LowRankSolution:
+def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
     """Full BDF time loop on the original equation with low-rank Newton steps.
 
     Startup ramps the order as in the projection solver.  The Newton stop test
@@ -304,8 +298,7 @@ def solve_baseline(problem, config, newton_maxit=30, sample_times=None) -> LowRa
     for k in range(1, n_steps + 1):
         order = min(p, k)
         try:
-            X_it, est, scale = _baseline_step(problem, config, handles, history,
-                                              order, h, newton_maxit)
+            X_it, est, scale = _baseline_step(problem, config, handles, history, order, h)
         except SolverError as exc:
             unstable = isinstance(
                 exc, (UnstableClosedLoop, SpectrumIncompatible, NoStabilizingGuess))
@@ -319,8 +312,7 @@ def solve_baseline(problem, config, newton_maxit=30, sample_times=None) -> LowRa
             # transient; retake the step with implicit Euler (PSD-dominated
             # constant term, always solvable).
             try:
-                X_it, est, scale = _baseline_step(problem, config, handles, history,
-                                                  1, h, newton_maxit)
+                X_it, est, scale = _baseline_step(problem, config, handles, history, 1, h)
             except SolverError as exc2:
                 raise StepFailure(k, str(exc2)) from exc2
 

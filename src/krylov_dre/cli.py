@@ -14,7 +14,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ from .benchmarks import BenchmarkSpec, gen_convdiff2d, gen_heat1d_fem, load_matr
 from .dense import psd_factor
 from .errors import SolverError
 from .lowrank import SignedFactor, signed_diff_fro
-from .lqr import gain_schedule, optimal_cost, simulate_closed_loop, steady_state
+from .lqr import (DENSE_GAIN_MAX_N, DENSE_STEADY_MAX_N, gain_schedule, optimal_cost,
+                  simulate_closed_loop, steady_state)
 from .oracles import MAX_ORACLE_N, dense_reference_integrate
 from .problem import SolverConfig, config_from_file, factorize
 from .solver import solve
@@ -50,13 +51,9 @@ def _add_problem_args(p):
 
 def _add_config_args(p):
     p.add_argument("--config", help="key=value file with SolverConfig fields")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--dtol", type=float, default=None)
-    p.add_argument("--check-stride", type=int, default=None)
-    p.add_argument("--care-tol", type=float, default=None)
+    for f in fields(SolverConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), default=None,
+                       type=int if f.type == "int" else float)
 
 
 def build_problem(args):
@@ -83,14 +80,9 @@ def build_problem(args):
 
 def build_config(args):
     config = config_from_file(args.config) if args.config else SolverConfig()
-    overrides = {
-        "p": args.p, "h": args.h, "tol": args.tol, "m_max": args.m_max,
-        "dtol": args.dtol, "check_stride": args.check_stride,
-        "care_tol": args.care_tol,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(config, key, val)
+    for f in fields(SolverConfig):
+        if getattr(args, f.name) is not None:
+            setattr(config, f.name, getattr(args, f.name))
     return config.validate()
 
 
@@ -126,16 +118,12 @@ def _write_trace(out, sol):
                 for r in sol.trace])
 
 
-def _entry_trajectory(samples, i, j):
-    rows = []
-    for t, Z in samples:
-        rows.append((t, float(Z[i, :] @ Z[j, :])))
-    return rows
-
-
-def _parse_track(track):
-    i, _, j = track.partition(",")
-    return int(i), int(j)
+def _write_track(out, args, sol):
+    """trajectory.csv: entry (i, j) of X along the stored samples, for --track i,j."""
+    if args.track and sol.samples:
+        i, j = map(int, args.track.split(","))
+        _write_csv(out / "trajectory.csv", ["t", f"X_{i}{j}"],
+                   [(t, float(Z[i, :] @ Z[j, :])) for t, Z in sol.samples])
 
 
 def _solution_summary(out, sol, wall):
@@ -143,23 +131,18 @@ def _solution_summary(out, sol, wall):
                ["method", "m", "rank", "residual", "converged", "breakdown", "seconds"],
                [(sol.method, sol.m, sol.rank,
                  sol.residual.value if sol.residual else "",
-                 int(sol.converged), int(getattr(sol, "breakdown", False)), wall)])
+                 int(sol.converged), int(sol.breakdown), wall)])
 
 
-def cmd_solve(args, out):
-    problem, spec = build_problem(args)
-    config = build_config(args)
-    _write_manifest(out, args, spec, config)
-    sample_times = _sample_times(args, problem)
+def cmd_solve(args, out, problem, config):
     t0 = time.perf_counter()
     handle = factorize(problem.A)
-    if args.arnoldi_diagnostics:
-        sol, diag = _solve_with_diagnostics(problem, config, handle, sample_times)
-        _write_csv(out / "eba_diagnostics.csv",
-                   ["m", "orthonormality_deviation", "relation_residual"], diag)
-    else:
-        sol = solve(problem, config, handle=handle, sample_times=sample_times)
+    sol = solve(problem, config, handle=handle, sample_times=_sample_times(args, problem))
     wall = time.perf_counter() - t0
+    if args.arnoldi_diagnostics:
+        _write_csv(out / "eba_diagnostics.csv",
+                   ["m", "orthonormality_deviation", "relation_residual"],
+                   _arnoldi.diagnostics_history(sol.basis, handle))
     _write_trace(out, sol)
     _solution_summary(out, sol, wall)
     if sol.step_stats:
@@ -171,18 +154,10 @@ def cmd_solve(args, out):
                     for k, (o, ni, sf, cr) in enumerate(
                         zip(ss["orders"], ss["newton_iters"], ss["schur_factorizations"],
                             ss["care_residuals"]))])
-    if args.track and sol.samples:
-        i, j = _parse_track(args.track)
-        _write_csv(out / "trajectory.csv", ["t", f"X_{i}{j}"],
-                   _entry_trajectory(sol.samples, i, j))
+    _write_track(out, args, sol)
     print(f"solve: m={sol.m} rank={sol.rank} residual={sol.residual.value:.3e} "
           f"({wall:.2f}s)")
     return 0
-
-
-def _solve_with_diagnostics(problem, config, handle, sample_times):
-    sol = solve(problem, config, handle=handle, sample_times=sample_times)
-    return sol, _arnoldi.diagnostics_history(sol.basis, handle)
 
 
 def _sample_times(args, problem):
@@ -191,28 +166,18 @@ def _sample_times(args, problem):
     return np.linspace(0.0, problem.t_f, args.samples)
 
 
-def cmd_baseline(args, out):
-    problem, spec = build_problem(args)
-    config = build_config(args)
-    _write_manifest(out, args, spec, config)
-    sample_times = _sample_times(args, problem)
+def cmd_baseline(args, out, problem, config):
     t0 = time.perf_counter()
-    sol = solve_baseline(problem, config, sample_times=sample_times)
+    sol = solve_baseline(problem, config, sample_times=_sample_times(args, problem))
     wall = time.perf_counter() - t0
     _write_trace(out, sol)
     _solution_summary(out, sol, wall)
-    if args.track and sol.samples:
-        i, j = _parse_track(args.track)
-        _write_csv(out / "trajectory.csv", ["t", f"X_{i}{j}"],
-                   _entry_trajectory(sol.samples, i, j))
+    _write_track(out, args, sol)
     print(f"baseline: steps={sol.m} rank={sol.rank} ({wall:.2f}s)")
     return 0
 
 
-def cmd_reference(args, out):
-    problem, spec = build_problem(args)
-    config = build_config(args)
-    _write_manifest(out, args, spec, config)
+def cmd_reference(args, out, problem, config):
     if problem.n > MAX_ORACLE_N:
         raise SolverError(f"reference integrator limited to n <= {MAX_ORACLE_N}")
     h_ref = config.h
@@ -225,7 +190,7 @@ def cmd_reference(args, out):
     wall = time.perf_counter() - t0
     rows = [(t, float(np.linalg.norm(X, "fro"))) for t, X in zip(t_grid, xs)]
     if args.track:
-        i, j = _parse_track(args.track)
+        i, j = map(int, args.track.split(","))
         rows = [(t, float(X[i, j]), fro) for (t, fro), X in zip(rows, xs)]
         _write_csv(out / "trajectory.csv", ["t", f"X_{i}{j}", "fro_norm"], rows)
     else:
@@ -235,10 +200,7 @@ def cmd_reference(args, out):
     return 0
 
 
-def cmd_compare(args, out):
-    problem, spec = build_problem(args)
-    config = build_config(args)
-    _write_manifest(out, args, spec, config)
+def cmd_compare(args, out, problem, config):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [m for m in methods if m not in ("eba", "baseline", "reference")]
     if unknown:
@@ -274,10 +236,7 @@ def cmd_compare(args, out):
     return 0
 
 
-def cmd_convergence(args, out):
-    problem, spec = build_problem(args)
-    config = build_config(args)
-    _write_manifest(out, args, spec, config)
+def cmd_convergence(args, out, problem, config):
     t0 = time.perf_counter()
     sol = solve(problem, config)
     wall = time.perf_counter() - t0
@@ -288,35 +247,28 @@ def cmd_convergence(args, out):
     return 0
 
 
-def cmd_lqr(args, out):
-    problem, spec = build_problem(args)
-    config = build_config(args)
-    _write_manifest(out, args, spec, config)
+def cmd_lqr(args, out, problem, config):
     rng = np.random.default_rng(args.seed + 1)
     x0 = rng.standard_normal(problem.n)
     n_samp = args.samples if args.samples > 1 else 51
     sample_times = np.linspace(0.0, problem.t_f, n_samp)
     sol = solve(problem, config, sample_times=sample_times)
-    report = optimal_cost(sol, x0)
-    rows = [("riccati_factor", report.value)]
+    sched = gain_schedule(sol.samples, problem.B, problem.t_f)
+    rows = [("riccati_factor", optimal_cost(sol, x0).value)]
     if args.simulate:
-        sched = gain_schedule(sol.samples, problem.B, problem.t_f)
         sim = simulate_closed_loop(problem, sched, x0, args.h_sim)
         rows.append(("closed_loop_simulation", sim.cost))
+    # steady_state returns X itself up to DENSE_STEADY_MAX_N and a factor beyond
     xinf = steady_state(problem, tol=config.tol)
-    if xinf.ndim == 2 and xinf.shape[0] == xinf.shape[1] and problem.n <= 200:
-        rows.append(("steady_state_quadratic", float(x0 @ xinf @ x0)))
+    quad = x0 @ xinf @ x0 if problem.n <= DENSE_STEADY_MAX_N else optimal_cost(xinf, x0).value
+    rows.append(("steady_state_quadratic", float(quad)))
     _write_csv(out / "cost.csv", ["quantity", "value"], rows)
-    if problem.n <= 500:
-        sched = gain_schedule(sol.samples, problem.B, problem.t_f)
-        gain_rows = []
-        for jdx, t in enumerate(sched.times):
-            K = sched.dense_gain(jdx)
-            gain_rows.append([t] + K.ravel().tolist())
+    if problem.n <= DENSE_GAIN_MAX_N:
         _write_csv(out / "gains.csv",
                    ["t"] + [f"K_{i}_{j}" for i in range(problem.ell)
                             for j in range(problem.n)],
-                   gain_rows)
+                   [[t] + sched.dense_gain(jdx).ravel().tolist()
+                    for jdx, t in enumerate(sched.times)])
     for name, value in rows:
         print(f"lqr: {name} = {value:.6e}")
     return 0
@@ -361,7 +313,11 @@ def cli_run(argv) -> int:
     out = Path(args.out) if args.out else Path(f"runs/{args.command}-{int(time.time())}")
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](args, out)
+        problem, spec = build_problem(args)
+        config = build_config(args)
+        # written before the command runs, so a failed run still records its inputs
+        _write_manifest(out, args, spec, config)
+        return COMMANDS[args.command](args, out, problem, config)
     except (SolverError, ValueError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         (out / "error.json").write_text(json.dumps(record, indent=2) + "\n")

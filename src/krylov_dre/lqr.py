@@ -22,13 +22,15 @@ from .solver import krylov_orders, residual_estimate
 
 DENSE_GAIN_MAX_N = 500
 DENSE_STEADY_MAX_N = 200
+# Projected steady state: largest Krylov order tried, and the eigenvalue
+# truncation of the returned factor.
+STEADY_M_MAX = 60
+STEADY_DTOL = 1e-12
 
 
 @dataclass
 class CostReport:
     value: float
-    x0: np.ndarray
-    method: str
 
 
 @dataclass
@@ -42,8 +44,6 @@ class GainSchedule:
     times: np.ndarray
     zs: list
     bt_zs: list
-    B: np.ndarray
-    t_f: float
 
     def apply(self, j, x):
         """u = K(times[j]) @ x without forming the dense gain."""
@@ -67,17 +67,14 @@ def gain_schedule(samples, B, t_f) -> GainSchedule:
         raise ValueError("samples must cover [0, t_f]")
     control_t = t_f - ts[::-1]
     zs = [Z for _, Z in samples][::-1]
-    return GainSchedule(
-        times=control_t, zs=zs, bt_zs=[B.T @ Z for Z in zs], B=B, t_f=t_f
-    )
+    return GainSchedule(times=control_t, zs=zs, bt_zs=[B.T @ Z for Z in zs])
 
 
-def optimal_cost(solution, x0, method=None) -> CostReport:
+def optimal_cost(solution, x0) -> CostReport:
     """J = ||Z^T x0||^2 from the final-time factor, without forming X."""
     Z = solution if isinstance(solution, np.ndarray) else solution.Z
-    tag = method or getattr(solution, "method", "factor")
     v = Z.T @ np.asarray(x0, dtype=float)
-    return CostReport(value=float(v @ v), x0=np.asarray(x0), method=tag)
+    return CostReport(value=float(v @ v))
 
 
 def projected_cost_identity_check(basis, y_final, x0):
@@ -165,7 +162,7 @@ def simulate_closed_loop(problem, schedule, x0, h_sim) -> SimulationResult:
                             outputs_sq=o, inputs_sq=i, cost=cost)
 
 
-def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
+def steady_state(problem, tol=1e-10):
     """Infinite-horizon solution of A^T X + X A - X BB^T X + C^T C = 0.
 
     Dense Newton-Kleinman for n <= 200; beyond that, Galerkin projection on
@@ -173,7 +170,7 @@ def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
     projected equation solved densely (warm started across m) and the
     coupling-block residual as the stop test.  Returns a dense matrix in the
     small case and a factor Z (X ~ Z Z^T) in the large one.  Raises
-    NotConverged when m_max is hit or the basis breaks down before the
+    NotConverged when STEADY_M_MAX is hit or the basis breaks down before the
     residual passes.
     """
     n = problem.n
@@ -184,7 +181,7 @@ def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
 
     y_prev = None
     res = np.inf
-    for basis, _ in krylov_orders(problem, factorize(problem.A), m_max):
+    for basis, _ in krylov_orders(problem, factorize(problem.A), STEADY_M_MAX):
         T_m, B_m, C_m = arnoldi.projected_matrices(basis, B)
         k = T_m.shape[0]
         warm = None
@@ -198,5 +195,5 @@ def steady_state(problem, tol=1e-10, m_max=60, dtol=1e-12):
         y_prev = Y
         res = residual_estimate(basis, Y).value
         if res < tol:
-            return basis.basis_matrix() @ psd_factor(Y, dtol)[0]
+            return basis.basis_matrix() @ psd_factor(Y, STEADY_DTOL)[0]
     raise NotConverged(basis.order, res, breakdown=basis.breakdown)

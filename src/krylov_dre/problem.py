@@ -91,75 +91,41 @@ class ValidationReport:
 class OperatorHandle:
     """Actions of A^T and A^{-T} on n-by-k blocks, with op counters.
 
-    Immutable after construction; safe for concurrent read-only use.  Counters
-    record the number of columns pushed through each kind of action and are not
-    synchronized.
+    A is factorized once: by SuperLU when it is scipy sparse, by LAPACK
+    otherwise.  Immutable after construction; safe for concurrent read-only
+    use.  Counters record the number of columns pushed through each kind of
+    action and are not synchronized.
     """
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, A):
+        if sp.issparse(A):
+            A = A.tocsc()
+            try:
+                lu = spla.splu(A)
+            except RuntimeError as exc:
+                raise SingularA(f"sparse LU failed: {exc}") from exc
+            d = np.abs(lu.U.diagonal())
+            self._solve_t = lambda V: lu.solve(np.asarray(V), trans="T")
+        else:
+            A = np.asarray(A, dtype=float)
+            lu_piv = sla.lu_factor(A, check_finite=False)
+            d = np.abs(np.diag(lu_piv[0]))
+            self._solve_t = lambda V: sla.lu_solve(lu_piv, V, trans=1, check_finite=False)
+        if d.size == 0 or d.min() <= PIVOT_RTOL * max(d.max(), 1e-300):
+            raise SingularA(f"near-singular A: LU pivots span "
+                            f"[{d.min(initial=0.0):.2e}, {d.max(initial=0.0):.2e}]")
+        self.n = A.shape[0]
+        self.A = A
         self.matvecs = 0
         self.solves = 0
 
-    def _count(self, V, kind):
-        k = 1 if V.ndim == 1 else V.shape[1]
-        if kind == "matvec":
-            self.matvecs += k
-        else:
-            self.solves += k
-
     def apply_t(self, V):
-        raise NotImplementedError
-
-    def solve_t(self, V):
-        raise NotImplementedError
-
-
-class SparseOperator(OperatorHandle):
-    """Sparse A with a single cached LU factorization reused for every solve."""
-
-    def __init__(self, A):
-        A = A.tocsc()
-        super().__init__(A.shape[0])
-        self.A = A
-        try:
-            self._lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise SingularA(f"sparse LU failed: {exc}") from exc
-        d = np.abs(self._lu.U.diagonal())
-        if d.size and d.min() <= PIVOT_RTOL * d.max():
-            raise SingularA(
-                f"near-singular A: pivot ratio {d.min() / d.max():.2e}"
-            )
-
-    def apply_t(self, V):
-        self._count(V, "matvec")
+        self.matvecs += 1 if V.ndim == 1 else V.shape[1]
         return self.A.T @ V
 
     def solve_t(self, V):
-        self._count(V, "solve")
-        return self._lu.solve(np.asarray(V), trans="T")
-
-
-class DenseOperator(OperatorHandle):
-    """Dense A backed by a cached LAPACK LU factorization."""
-
-    def __init__(self, A):
-        A = np.asarray(A, dtype=float)
-        super().__init__(A.shape[0])
-        self.A = A
-        self._lu, self._piv = sla.lu_factor(A, check_finite=False)
-        d = np.abs(np.diag(self._lu))
-        if d.size == 0 or d.min() <= PIVOT_RTOL * max(d.max(), 1e-300):
-            raise SingularA("near-singular A: zero pivot in dense LU")
-
-    def apply_t(self, V):
-        self._count(V, "matvec")
-        return self.A.T @ V
-
-    def solve_t(self, V):
-        self._count(V, "solve")
-        return sla.lu_solve((self._lu, self._piv), V, trans=1, check_finite=False)
+        self.solves += 1 if V.ndim == 1 else V.shape[1]
+        return self._solve_t(V)
 
 
 def factorize(A) -> OperatorHandle:
@@ -170,9 +136,7 @@ def factorize(A) -> OperatorHandle:
     """
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A must be square, got {A.shape}")
-    if sp.issparse(A):
-        return SparseOperator(A)
-    return DenseOperator(A)
+    return OperatorHandle(A)
 
 
 def validate(problem: DREProblem) -> ValidationReport:

@@ -1,9 +1,14 @@
 import csv
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from krylov_dre.benchmarks import gen_heat1d_fem
 from krylov_dre.cli import cli_run
+from krylov_dre.lqr import DENSE_STEADY_MAX_N, steady_state
+from krylov_dre.problem import SolverConfig
 
 
 def _read_csv(path):
@@ -111,6 +116,41 @@ def test_lqr_command(tmp_path):
         <= 0.05 * max(rows["riccati_factor"], 1e-12)
     gains = _read_csv(out / "gains.csv")
     assert len(gains) == 11
+
+
+def test_lqr_steady_state_reported_from_a_factor(tmp_path):
+    # n > DENSE_STEADY_MAX_N: steady_state returns a factor Z, and the report
+    # must use ||Z^T x0||^2 instead of dropping the row
+    n, seed = 300, 3
+    assert n > DENSE_STEADY_MAX_N
+    out = tmp_path / "lqr300"
+    code = cli_run([
+        "lqr", "--family", "heat1d_fem", "--n", str(n), "--alpha", "0.05", "--dt", "7e-5",
+        "--tf", "1.0", "--h", "1e-2", "--tol", "1e-9", "--seed", str(seed),
+        "--samples", "11", "--out", str(out),
+    ])
+    assert code == 0
+    rows = {r["quantity"]: float(r["value"]) for r in _read_csv(out / "cost.csv")}
+    assert np.isfinite(rows["steady_state_quadratic"])
+    Z = steady_state(gen_heat1d_fem(n, alpha=0.05, dt=7e-5, seed=seed, t_f=1.0), tol=1e-9)
+    v = Z.T @ np.random.default_rng(seed + 1).standard_normal(n)
+    assert rows["steady_state_quadratic"] == pytest.approx(float(v @ v), rel=1e-12)
+
+
+def test_every_config_field_set_by_its_flag(tmp_path):
+    values = {"p": 1, "h": 2e-3, "tol": 1e-6, "m_max": 17, "dtol": 1e-11,
+              "check_stride": 2, "care_tol": 1e-11}
+    assert set(values) == {f.name for f in fields(SolverConfig)}
+    out = tmp_path / "flags"
+    code = cli_run([
+        "solve", "--family", "convdiff2d", "--n0", "4", "--tf", "0.1", "--seed", "3",
+        "--p", "1", "--h", "2e-3", "--tol", "1e-6", "--m-max", "17", "--dtol", "1e-11",
+        "--check-stride", "2", "--care-tol", "1e-11", "--out", str(out),
+    ])
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config == values
+    assert {k: type(v) for k, v in config.items()} == {k: type(v) for k, v in values.items()}
 
 
 def test_error_record_on_failure(tmp_path):

@@ -35,14 +35,16 @@ def test_validate_flags_rank_deficient_b():
     assert report.rank_b == 1
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_validate_zero_a_raises_singular():
+    # one pivot test serves both factorizations: SuperLU and LAPACK
     n = 5
-    problem = DREProblem(
-        A=sp.csc_matrix((n, n)), B=np.ones((n, 1)), C=np.ones((1, n)),
-        Z0=np.zeros((n, 1)), t_f=1.0,
-    )
-    with pytest.raises(SingularA):
-        validate(problem)
+    for A in (sp.csc_matrix((n, n)), np.zeros((n, n))):
+        problem = DREProblem(
+            A=A, B=np.ones((n, 1)), C=np.ones((1, n)), Z0=np.zeros((n, 1)), t_f=1.0,
+        )
+        with pytest.raises(SingularA):
+            validate(problem)
 
 
 def test_validate_shape_mismatch():
@@ -117,6 +119,22 @@ def test_operation_counters():
     h.solve_t(np.ones(4))
     assert h.matvecs == 3
     assert h.solves == 1
+
+
+@pytest.mark.parametrize("form", ["csc", "ndarray"])
+def test_handle_forms_agree_and_count_columns(form):
+    A = gen_convdiff2d(3, seed=2).A
+    ref = factorize(A)
+    h = factorize(A.tocsc() if form == "csc" else A.toarray())
+    rng = np.random.default_rng(3)
+    for V in (rng.standard_normal(9), rng.standard_normal((9, 4))):
+        for op in ("apply_t", "solve_t"):
+            before = (h.matvecs, h.solves)
+            out = getattr(h, op)(V)
+            assert np.linalg.norm(out - getattr(ref, op)(V)) <= 1e-12 * np.linalg.norm(out)
+            k = 1 if V.ndim == 1 else V.shape[1]
+            added = (h.matvecs - before[0], h.solves - before[1])
+            assert added == ((k, 0) if op == "apply_t" else (0, k))
 
 
 def test_solver_config_validation():
