@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .bdf import bdf_coefficients, step_grid
+from .bdf import bdf_coefficients, march
 from .dense import psd_factor, solve_lyapunov
 from .errors import (
     MaxIterations,
@@ -223,9 +223,9 @@ def _shifted_operator(A, hb):
 def _baseline_step(problem, config, handles, history, order, h):
     """One implicit step at the given order: Newton with factored iterates.
 
-    Returns (iterate, residual estimate, constant-term scale).  Raises
-    MaxIterations on stall (no 2x improvement of the estimate over the last
-    six iterations) or exhaustion.
+    Returns (iterate, residual estimate, constant-term scale, Newton
+    iterations of every start tried).  Raises MaxIterations on stall (no 2x
+    improvement of the estimate over the last six iterations) or exhaustion.
     """
     coeffs = bdf_coefficients(order)
     s_handle = handles[order]
@@ -247,92 +247,81 @@ def _baseline_step(problem, config, handles, history, order, h):
         # zero is a guaranteed stabilizing start whenever curly_a is stable
         starts.append(SignedFactor.zero(problem.n))
     last_exc = None
+    iterations = 0
     for X_start in starts:
         X_it = X_start
         best, best_at = np.inf, 0
         try:
             for it in range(1, NEWTON_MAXIT + 1):
+                iterations += 1
                 X_next = newton_step_large(ctx, X_it)
                 diffB = X_next.apply(curly_b) - X_it.apply(curly_b)
                 est = float(np.linalg.norm(diffB, 2)) ** 2 + 2 * ctx.lyap_tol
                 X_it = X_next
                 if est <= config.care_tol * scale:
-                    return X_it, est, scale
+                    return X_it, est, scale, iterations
                 if est < 0.5 * best:
                     best, best_at = est, it
                 elif it - best_at >= 6:
                     raise MaxIterations(
-                        f"baseline Newton stalled: estimate {est:.3e} after {it} iterations"
-                    )
+                        f"baseline Newton stalled: estimate {est:.3e} after {it} iterations",
+                        iterations=iterations)
             raise MaxIterations(
-                f"baseline Newton: estimate {est:.3e} after {NEWTON_MAXIT} iterations"
-            )
+                f"baseline Newton: estimate {est:.3e} after {NEWTON_MAXIT} iterations",
+                iterations=iterations)
         except SolverError as exc:
             last_exc = exc
     raise last_exc
 
 
 def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
-    """Full BDF time loop on the original equation with low-rank Newton steps.
+    """Full BDF time loop (bdf.march) on the original equation with low-rank Newton steps.
 
-    Startup ramps the order as in the projection solver.  The Newton stop test
-    uses only projected quantities: the step-CARE residual at the new iterate
-    equals the inner Lyapunov defects minus D curly_b curly_b^T D with
-    D = X_{p+1} - X_p, whose norm is computable from the factors.
+    The Newton stop test uses only projected quantities: the step-CARE
+    residual at the new iterate equals the inner Lyapunov defects minus
+    D curly_b curly_b^T D with D = X_{p+1} - X_p, whose norm is computable
+    from the factors.  trace holds one record per step (m is the step
+    index), and step_stats the per-step log of march without Schur counts.
     """
     config.validate()
-    p = config.p
     h = config.h
-    n_steps, sample_idx = step_grid(problem.t_f, h, sample_times)
-
-    handles = {}
-    for order in range(1, p + 1):
-        handles[order] = _shifted_operator(problem.A, h * bdf_coefficients(order).beta)
-
-    X = SignedFactor.from_psd(problem.Z0).compress(config.dtol)
-    history = [X]
+    handles = {order: _shifted_operator(problem.A, h * bdf_coefficients(order).beta)
+               for order in range(1, config.p + 1)}
     trace = []
-    samples = [(0.0, X)] if sample_times is not None else []
-
     t0 = time.perf_counter()
-    for k in range(1, n_steps + 1):
-        order = min(p, k)
-        try:
-            X_it, est, scale = _baseline_step(problem, config, handles, history, order, h)
-        except SolverError as exc:
-            unstable = isinstance(
-                exc, (UnstableClosedLoop, SpectrumIncompatible, NoStabilizingGuess))
-            if k == 1 and unstable:
-                raise NoStabilizingGuess(
-                    f"curly_a appears unstable at the first step: {exc}"
-                ) from exc
-            if order == 1:
-                raise StepFailure(k, str(exc)) from exc
-            # No usable root for the multistep equation over a stiff
-            # transient; retake the step with implicit Euler (PSD-dominated
-            # constant term, always solvable).
-            try:
-                X_it, est, scale = _baseline_step(problem, config, handles, history, 1, h)
-            except SolverError as exc2:
-                raise StepFailure(k, str(exc2)) from exc2
 
+    def step(order, history):
+        X_it, est, scale, iterations = _baseline_step(problem, config, handles, history,
+                                                      order, h)
         X = X_it.compress(config.dtol)
-        history.insert(0, X)
-        del history[p:]
         trace.append(ConvergenceRecord(
-            m=k, residual=est / scale, rank=X.rank,
+            m=len(trace) + 1, residual=est / scale, rank=X.rank,
             matvecs=sum(hh.matvecs for hh in handles.values()),
             solves=sum(hh.solves for hh in handles.values()),
             seconds=time.perf_counter() - t0,
         ))
-        if k in sample_idx:
-            samples.append((k * h, X))
+        return X, {"iterations": iterations, "residual": est / scale}
 
-    Z = X.psd_part(config.dtol)
+    X0 = SignedFactor.from_psd(problem.Z0).compress(config.dtol)
+    try:
+        traj = march(step, X0, problem.t_f, h, config.p, sample_times)
+    except StepFailure as exc:
+        cause = exc.__cause__
+        if exc.step == 1 and isinstance(
+                cause, (UnstableClosedLoop, SpectrumIncompatible, NoStabilizingGuess)):
+            raise NoStabilizingGuess(
+                f"curly_a appears unstable at the first step: {cause}") from cause
+        raise
+
+    Z = traj.final.psd_part(config.dtol)
     sol = LowRankSolution(
-        Z=Z, rank=Z.shape[1], residual=None, m=n_steps,
+        Z=Z, rank=Z.shape[1], residual=None, m=len(traj.orders),
         converged=True, method="bdf-newton-eba",
     )
     sol.trace = trace
-    sol.samples = [(t, f.psd_part(config.dtol)) for t, f in samples]
+    sol.step_stats = traj.step_stats(h)
+    # Newton on the full equation factorizes no closed loop
+    del sol.step_stats["schur_factorizations"]
+    if sample_times is not None:
+        sol.samples = [(float(t), f.psd_part(config.dtol)) for t, f in zip(traj.times, traj.ys)]
     return sol

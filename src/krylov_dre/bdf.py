@@ -4,7 +4,8 @@ Integrates dY/dt = T Y + Y T^T - Y Bm Bm^T Y + Cm^T Cm on [0, t_f] with a
 uniform step h.  Each implicit step is converted into a continuous-time
 algebraic Riccati equation solved by warm-started Newton-Kleinman; its chord
 steps reuse one closed-loop Schur factor across the steps of a BDF order,
-since the closed loop moves only O(h) from step to step.
+since the closed loop moves only O(h) from step to step.  The time loop,
+march, is shared with the baseline's BDF on the full equation.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ def bdf_coefficients(p) -> BDFCoefficients:
 
 @dataclass
 class ProjectedTrajectory:
-    """Stored samples of the projected trajectory plus per-step statistics.
+    """Stored samples of a BDF trajectory plus per-step statistics.
 
-    times/ys hold the requested samples (always including the final state);
-    tail holds the last p+1 iterates (oldest first) for discrete-residual
-    checks.  newton_iters (chord steps included), schur_factorizations
-    (closed-loop Schur factorizations; 0 for a step solved by chord steps
-    alone), care_residuals and orders are per-step logs of the accepted step
-    solves; euler_retakes counts the BDF(p) steps retaken as implicit Euler,
-    whose newton_iters and schur_factorizations include the failed attempt.
+    times/ys hold the initial state, the requested samples and the final
+    state; tail holds the last p+1 iterates (oldest first) for
+    discrete-residual checks.  newton_iters (chord steps included),
+    schur_factorizations (closed-loop Schur factorizations; 0 for a step
+    solved by chord steps alone or one that reports none), care_residuals
+    and orders are per-step logs of the accepted step solves; euler_retakes
+    counts the BDF(p) steps retaken as implicit Euler, whose newton_iters and
+    schur_factorizations include the failed attempt.
     """
 
     times: np.ndarray
@@ -66,6 +68,13 @@ class ProjectedTrajectory:
     @property
     def final(self):
         return self.ys[-1]
+
+    def step_stats(self, h):
+        """The per-step log in the form of LowRankSolution.step_stats."""
+        return {"h": h, "newton_iters": self.newton_iters,
+                "schur_factorizations": self.schur_factorizations,
+                "care_residuals": self.care_residuals, "orders": self.orders,
+                "euler_retakes": self.euler_retakes}
 
 
 def step_grid(t_f, h, sample_times=None):
@@ -86,70 +95,42 @@ def step_grid(t_f, h, sample_times=None):
     return n_steps, sample_idx
 
 
-def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTrajectory:
-    """BDF(p) integration of the projected DRE from Y0 to t_f.
+def march(step, Y0, t_f, h, p, sample_times=None) -> ProjectedTrajectory:
+    """BDF(p) time loop from Y0 to t_f with a uniform step h.
 
-    The first p-1 steps use lower-order BDF (implicit Euler first, then
-    BDF(2)) so no off-grid starting values are needed.  The final state and
-    the states nearest to sample_times are recorded.  CARE failures are
-    wrapped in StepFailure with the step index.
+    step(order, history) takes one implicit step of the given BDF order from
+    the last iterates (newest first) and returns (Y, info), where info holds
+    the step solve's "iterations" and "residual" and optionally its
+    "factorizations".  The order ramps up as min(p, k), so no off-grid
+    starting values are needed.  A failed multistep step is retaken as
+    implicit Euler, and its work counts towards the step; a failure at order
+    1 raises StepFailure with the step index, chained to its cause.  The
+    initial state, the states nearest to sample_times and the final state
+    are recorded.
     """
-    config.validate()
-    p = config.p
-    h = config.h
     n_steps, sample_idx = step_grid(t_f, h, sample_times)
-    Y = symmetrize(np.asarray(Y0, dtype=float))
-    traj = ProjectedTrajectory(times=[0.0], ys=[Y], tail=[Y])
-    history = [Y]
-    # A BDF step solves the CARE A^T Y + Y A - Y B B^T Y + Q = 0 with
-    # A = (h beta T - I/2)^T, B = sqrt(h beta) B_m and
-    # Q = h beta C_m^T C_m + sum_i alpha_i Y_{k-i}, symmetric but indefinite
-    # for orders >= 2.  Per order: the terms that do not change from step to
-    # step, and the last closed-loop Schur factor, which the next step of
-    # that order reuses for chord steps.
-    terms = {}
-    factors = {}
-
-    def take_step(order):
-        if order not in terms:
-            coeffs = bdf_coefficients(order)
-            hb = h * coeffs.beta
-            terms[order] = (coeffs.alpha, (hb * T - 0.5 * np.eye(T.shape[0])).T,
-                            np.sqrt(hb) * B_m, hb * (C_m.T @ C_m))
-        alpha, A, B, q = terms[order]
-        for a_i, Y_i in zip(alpha, history):
-            q = q + a_i * Y_i
-        # The damped local Newton, not the stabilizing Newton-Kleinman: steps
-        # across a stiff transient can have non-stabilizing (or slightly
-        # indefinite) roots that the strict stabilizing iteration cannot reach.
-        Y, info = care_local_root(A, B, symmetrize(q), x_start=history[0],
-                                  tol=config.care_tol, maxit=CARE_MAXIT,
-                                  return_info=True, factor=factors.get(order))
-        factors[order] = info["factor"]
-        return Y, info
-
+    traj = ProjectedTrajectory(times=[0.0], ys=[Y0], tail=[Y0])
+    history = [Y0]
     for k in range(1, n_steps + 1):
         order = min(p, k)
         lost = (0, 0)
         try:
-            Y, info = take_step(order)
-        except SolverError as exc:
-            if order == 1:
-                raise StepFailure(k, str(exc)) from exc
-            # The implicit equation of a multistep over a stiff transient can
-            # lack a symmetric root entirely; fall back to implicit Euler for
-            # this step (local error O(h^2), same as the startup ramp).  The
-            # failed attempt's work counts towards the step; its factor is
-            # dropped.
-            lost = (getattr(exc, "iterations", 0), getattr(exc, "factorizations", 0))
-            order = 1
-            traj.euler_retakes += 1
             try:
-                Y, info = take_step(1)
-            except SolverError as exc2:
-                raise StepFailure(k, str(exc2)) from exc2
+                Y, info = step(order, history)
+            except SolverError as exc:
+                if order == 1:
+                    raise
+                # The implicit equation of a multistep over a stiff transient
+                # can lack a usable root; implicit Euler (local error O(h^2),
+                # same as the startup ramp) has one.
+                lost = (getattr(exc, "iterations", 0), getattr(exc, "factorizations", 0))
+                order = 1
+                traj.euler_retakes += 1
+                Y, info = step(1, history)
+        except SolverError as exc:
+            raise StepFailure(k, str(exc)) from exc
         traj.newton_iters.append(info["iterations"] + lost[0])
-        traj.schur_factorizations.append(info["factorizations"] + lost[1])
+        traj.schur_factorizations.append(info.get("factorizations", 0) + lost[1])
         traj.care_residuals.append(info["residual"])
         traj.orders.append(order)
         history.insert(0, Y)
@@ -162,3 +143,42 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTraje
 
     traj.times = np.array(traj.times)
     return traj
+
+
+def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTrajectory:
+    """BDF(p) integration of the projected DRE from Y0 to t_f by march.
+
+    CARE failures end as StepFailure with the step index.
+    """
+    config.validate()
+    h = config.h
+    # A BDF step solves the CARE A^T Y + Y A - Y B B^T Y + Q = 0 with
+    # A = (h beta T - I/2)^T, B = sqrt(h beta) B_m and
+    # Q = h beta C_m^T C_m + sum_i alpha_i Y_{k-i}, symmetric but indefinite
+    # for orders >= 2.  Per order: the terms that do not change from step to
+    # step, and the last closed-loop Schur factor, which the next step of
+    # that order reuses for chord steps.
+    terms = {}
+    factors = {}
+
+    def take_step(order, history):
+        if order not in terms:
+            coeffs = bdf_coefficients(order)
+            hb = h * coeffs.beta
+            terms[order] = (coeffs.alpha, (hb * T - 0.5 * np.eye(T.shape[0])).T,
+                            np.sqrt(hb) * B_m, hb * (C_m.T @ C_m))
+        alpha, A, B, q = terms[order]
+        for a_i, Y_i in zip(alpha, history):
+            q = q + a_i * Y_i
+        # The damped local Newton, not the stabilizing Newton-Kleinman: steps
+        # across a stiff transient can have non-stabilizing (or slightly
+        # indefinite) roots that the strict stabilizing iteration cannot reach.
+        # A failed attempt's factor is dropped with it.
+        Y, info = care_local_root(A, B, symmetrize(q), x_start=history[0],
+                                  tol=config.care_tol, maxit=CARE_MAXIT,
+                                  return_info=True, factor=factors.get(order))
+        factors[order] = info["factor"]
+        return Y, info
+
+    return march(take_step, symmetrize(np.asarray(Y0, dtype=float)), t_f, h, config.p,
+                 sample_times)

@@ -27,8 +27,8 @@ from .benchmarks import BenchmarkSpec, gen_convdiff2d, gen_heat1d_fem, load_matr
 from .dense import psd_factor
 from .errors import SolverError
 from .lowrank import SignedFactor, signed_diff_fro
-from .lqr import (DENSE_GAIN_MAX_N, DENSE_STEADY_MAX_N, gain_schedule, optimal_cost,
-                  simulate_closed_loop, steady_state)
+from .lqr import (DENSE_GAIN_MAX_N, gain_schedule, optimal_cost, simulate_closed_loop,
+                  steady_state)
 from .oracles import MAX_ORACLE_N, dense_reference_integrate
 from .problem import SolverConfig, config_from_file, factorize
 from .solver import solve
@@ -111,69 +111,44 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _write_trace(out, sol):
+# solver of each solve command; convergence is solve's trace under its own name
+SOLVERS = {"solve": solve, "convergence": solve, "baseline": solve_baseline}
+# bdf_log.csv column of each step_stats key
+_BDF_LOG = (("orders", "order"), ("newton_iters", "newton_iterations"),
+            ("schur_factorizations", "schur_factorizations"), ("care_residuals", "care_residual"))
+
+
+def cmd_solve(args, out, problem, config):
+    sample_times = np.linspace(0.0, problem.t_f, args.samples) if args.samples > 1 else None
+    t0 = time.perf_counter()
+    sol = SOLVERS[args.command](problem, config, sample_times=sample_times)
+    wall = time.perf_counter() - t0
+    if getattr(args, "arnoldi_diagnostics", False):
+        _write_csv(out / "eba_diagnostics.csv",
+                   ["m", "orthonormality_deviation", "relation_residual"],
+                   _arnoldi.diagnostics_history(sol.basis, factorize(problem.A)))
     _write_csv(out / "convergence.csv",
                ["m", "residual", "rank", "matvecs", "solves", "seconds"],
                [(r.m, r.residual, r.rank, r.matvecs, r.solves, r.seconds)
                 for r in sol.trace])
-
-
-def _write_track(out, args, sol):
-    """trajectory.csv: entry (i, j) of X along the stored samples, for --track i,j."""
-    if args.track and sol.samples:
-        i, j = map(int, args.track.split(","))
-        _write_csv(out / "trajectory.csv", ["t", f"X_{i}{j}"],
-                   [(t, float(Z[i, :] @ Z[j, :])) for t, Z in sol.samples])
-
-
-def _solution_summary(out, sol, wall):
     _write_csv(out / "solution.csv",
                ["method", "m", "rank", "residual", "converged", "breakdown", "seconds"],
                [(sol.method, sol.m, sol.rank,
                  sol.residual.value if sol.residual else "",
                  int(sol.converged), int(sol.breakdown), wall)])
-
-
-def cmd_solve(args, out, problem, config):
-    t0 = time.perf_counter()
-    handle = factorize(problem.A)
-    sol = solve(problem, config, handle=handle, sample_times=_sample_times(args, problem))
-    wall = time.perf_counter() - t0
-    if args.arnoldi_diagnostics:
-        _write_csv(out / "eba_diagnostics.csv",
-                   ["m", "orthonormality_deviation", "relation_residual"],
-                   _arnoldi.diagnostics_history(sol.basis, handle))
-    _write_trace(out, sol)
-    _solution_summary(out, sol, wall)
-    if sol.step_stats:
-        ss = sol.step_stats
-        _write_csv(out / "bdf_log.csv",
-                   ["k", "t", "order", "newton_iterations", "schur_factorizations",
-                    "care_residual"],
-                   [(k + 1, (k + 1) * ss["h"], o, ni, sf, cr)
-                    for k, (o, ni, sf, cr) in enumerate(
-                        zip(ss["orders"], ss["newton_iters"], ss["schur_factorizations"],
-                            ss["care_residuals"]))])
-    _write_track(out, args, sol)
-    print(f"solve: m={sol.m} rank={sol.rank} residual={sol.residual.value:.3e} "
-          f"({wall:.2f}s)")
-    return 0
-
-
-def _sample_times(args, problem):
-    if args.samples <= 1:
-        return None
-    return np.linspace(0.0, problem.t_f, args.samples)
-
-
-def cmd_baseline(args, out, problem, config):
-    t0 = time.perf_counter()
-    sol = solve_baseline(problem, config, sample_times=_sample_times(args, problem))
-    wall = time.perf_counter() - t0
-    _write_trace(out, sol)
-    _solution_summary(out, sol, wall)
-    _write_track(out, args, sol)
-    print(f"baseline: steps={sol.m} rank={sol.rank} ({wall:.2f}s)")
+    ss = sol.step_stats
+    log = [(key, col) for key, col in _BDF_LOG if key in ss]
+    _write_csv(out / "bdf_log.csv", ["k", "t"] + [col for _, col in log],
+               [(k + 1, (k + 1) * ss["h"], *row)
+                for k, row in enumerate(zip(*(ss[key] for key, _ in log)))])
+    if args.track and sol.samples:
+        # entry (i, j) of X along the stored samples
+        i, j = map(int, args.track.split(","))
+        _write_csv(out / "trajectory.csv", ["t", f"X_{i}{j}"],
+                   [(t, float(Z[i, :] @ Z[j, :])) for t, Z in sol.samples])
+    residual = f" residual={sol.residual.value:.3e}" if sol.residual else ""
+    print(f"{args.command}: m={sol.m} rank={sol.rank}{residual} "
+          f"({len(sol.trace)} trace rows, {wall:.2f}s)")
     return 0
 
 
@@ -236,17 +211,6 @@ def cmd_compare(args, out, problem, config):
     return 0
 
 
-def cmd_convergence(args, out, problem, config):
-    t0 = time.perf_counter()
-    sol = solve(problem, config)
-    wall = time.perf_counter() - t0
-    _write_trace(out, sol)
-    _solution_summary(out, sol, wall)
-    print(f"convergence: {len(sol.trace)} rows, final residual "
-          f"{sol.residual.value:.3e} at m={sol.m} ({wall:.2f}s)")
-    return 0
-
-
 def cmd_lqr(args, out, problem, config):
     rng = np.random.default_rng(args.seed + 1)
     x0 = rng.standard_normal(problem.n)
@@ -258,10 +222,8 @@ def cmd_lqr(args, out, problem, config):
     if args.simulate:
         sim = simulate_closed_loop(problem, sched, x0, args.h_sim)
         rows.append(("closed_loop_simulation", sim.cost))
-    # steady_state returns X itself up to DENSE_STEADY_MAX_N and a factor beyond
-    xinf = steady_state(problem, tol=config.tol)
-    quad = x0 @ xinf @ x0 if problem.n <= DENSE_STEADY_MAX_N else optimal_cost(xinf, x0).value
-    rows.append(("steady_state_quadratic", float(quad)))
+    rows.append(("steady_state_quadratic",
+                 optimal_cost(steady_state(problem, tol=config.tol), x0).value))
     _write_csv(out / "cost.csv", ["quantity", "value"], rows)
     if problem.n <= DENSE_GAIN_MAX_N:
         _write_csv(out / "gains.csv",
@@ -276,10 +238,10 @@ def cmd_lqr(args, out, problem, config):
 
 COMMANDS = {
     "solve": cmd_solve,
-    "baseline": cmd_baseline,
+    "baseline": cmd_solve,
     "reference": cmd_reference,
     "compare": cmd_compare,
-    "convergence": cmd_convergence,
+    "convergence": cmd_solve,
     "lqr": cmd_lqr,
 }
 

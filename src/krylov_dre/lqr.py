@@ -22,8 +22,8 @@ from .solver import krylov_orders, residual_estimate
 
 DENSE_GAIN_MAX_N = 500
 DENSE_STEADY_MAX_N = 200
-# Projected steady state: largest Krylov order tried, and the eigenvalue
-# truncation of the returned factor.
+# Projected steady state: largest Krylov order tried; eigenvalue truncation of
+# the returned factor (dense and projected).
 STEADY_M_MAX = 60
 STEADY_DTOL = 1e-12
 
@@ -168,8 +168,8 @@ def steady_state(problem, tol=1e-10):
     Dense Newton-Kleinman for n <= 200; beyond that, Galerkin projection on
     the same extended Krylov subspaces as the trajectory solver, with the
     projected equation solved densely (warm started across m) and the
-    coupling-block residual as the stop test.  Returns a dense matrix in the
-    small case and a factor Z (X ~ Z Z^T) in the large one.  Raises
+    coupling-block residual as the stop test.  Returns a factor Z with
+    X ~ Z Z^T, truncated at STEADY_DTOL, in both cases.  Raises
     NotConverged when STEADY_M_MAX is hit or the basis breaks down before the
     residual passes.
     """
@@ -177,7 +177,8 @@ def steady_state(problem, tol=1e-10):
     B, C = problem.B, problem.C
     if n <= DENSE_STEADY_MAX_N:
         A = problem.A.toarray() if sp.issparse(problem.A) else np.asarray(problem.A, float)
-        return solve_care(A, B, C.T @ C, x_init=None, tol=tol * 1e-2, maxit=60)
+        X = solve_care(A, B, C.T @ C, x_init=None, tol=tol * 1e-2, maxit=60)
+        return psd_factor(X, STEADY_DTOL)[0]
 
     y_prev = None
     res = np.inf

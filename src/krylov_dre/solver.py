@@ -100,7 +100,8 @@ def extract_factor(basis, y_final, dtol, residual=None, psd=None) -> LowRankSolu
     G, lam = psd_factor(Y, dtol) if psd is None else psd
     if lam.size and lam[-1] < -PSD_RTOL * np.abs(lam).max():
         raise IndefiniteY(
-            f"min eigenvalue {lam[-1]:.3e} below -{PSD_RTOL:g}*sigma_max"
+            f"min eigenvalue {lam[-1]:.3e} below -{PSD_RTOL:g}*sigma_max; a smaller h, "
+            "a longer t_f or p=1 (which keeps Y PSD) avoids it"
         )
     Z = basis.basis_matrix() @ G
     return LowRankSolution(
@@ -190,14 +191,7 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
 
     sol = extract_factor(basis, traj.final, config.dtol, residual=est, psd=psd)
     sol.trace = trace
-    sol.step_stats = {
-        "h": config.h,
-        "newton_iters": traj.newton_iters,
-        "schur_factorizations": traj.schur_factorizations,
-        "care_residuals": traj.care_residuals,
-        "orders": traj.orders,
-        "euler_retakes": traj.euler_retakes,
-    }
+    sol.step_stats = traj.step_stats(config.h)
     if sample_times is not None:
         sol.samples = _factor_samples(basis, traj, config.dtol)
     return sol

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from krylov_dre import baseline
 from krylov_dre.baseline import (
     ClosedLoopOperator,
     eba_lyapunov,
@@ -12,6 +14,8 @@ from krylov_dre.baseline import (
 from krylov_dre.bdf import bdf_coefficients
 from krylov_dre.benchmarks import gen_convdiff2d
 from krylov_dre.dense import solve_care, solve_lyapunov
+from krylov_dre.errors import (MaxIterations, NoStabilizingGuess, StepFailure,
+                               UnstableClosedLoop)
 from krylov_dre.lowrank import SignedFactor, signed_diff_fro
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
 
@@ -188,3 +192,45 @@ def test_solve_baseline_trajectory_samples():
     sol = solve_baseline(problem, config, sample_times=[0.0, 0.05, 0.1])
     ts = [t for t, _ in sol.samples]
     assert ts == [0.0, 0.05, 0.1]
+    stats = sol.step_stats
+    assert stats["orders"][:2] == [1, 2] and len(stats["orders"]) == 10
+    assert len(stats["newton_iters"]) == len(stats["care_residuals"]) == 10
+    assert max(stats["care_residuals"]) <= config.care_tol
+
+
+def _scripted_steps(monkeypatch, fail):
+    """Replace the Newton step by one that keeps the iterate, failing on (k, order) in fail."""
+    accepted = []
+
+    def step(problem, config, handles, history, order, h):
+        k = len(accepted) + 1
+        if (k, order) in fail:
+            raise fail[k, order]
+        accepted.append(order)
+        return history[0], 1e-12, 1.0, 1
+
+    monkeypatch.setattr(baseline, "_baseline_step", step)
+    return gen_convdiff2d(3, seed=5, t_f=0.1), SolverConfig(p=2, h=1e-2)
+
+
+def test_solve_baseline_retakes_failed_step_as_euler(monkeypatch):
+    problem, config = _scripted_steps(
+        monkeypatch, {(3, 2): MaxIterations("no root", iterations=4)})
+    sol = solve_baseline(problem, config)
+    stats = sol.step_stats
+    assert stats["orders"] == [1, 2, 1] + [2] * 7
+    assert stats["euler_retakes"] == 1
+    assert stats["newton_iters"] == [1, 1, 4 + 1] + [1] * 7
+    assert stats["care_residuals"] == [1e-12] * 10
+    assert "schur_factorizations" not in stats
+    assert [r.m for r in sol.trace] == list(range(1, 11))
+
+
+def test_solve_baseline_first_step_failures(monkeypatch):
+    problem, config = _scripted_steps(monkeypatch, {(1, 1): UnstableClosedLoop("unstable")})
+    with pytest.raises(NoStabilizingGuess):
+        solve_baseline(problem, config)
+    problem, config = _scripted_steps(monkeypatch, {(1, 1): MaxIterations("stalled")})
+    with pytest.raises(StepFailure) as info:
+        solve_baseline(problem, config)
+    assert info.value.step == 1

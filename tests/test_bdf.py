@@ -6,9 +6,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from krylov_dre import bdf, dense, solver
-from krylov_dre.bdf import bdf_coefficients, integrate, step_grid
+from krylov_dre.bdf import bdf_coefficients, integrate, march, step_grid
 from krylov_dre.benchmarks import gen_convdiff2d
-from krylov_dre.errors import MaxIterations, UnsupportedOrder
+from krylov_dre.errors import MaxIterations, StepFailure, UnsupportedOrder
 from krylov_dre.problem import SolverConfig
 
 from conftest import random_stable
@@ -292,3 +292,65 @@ def test_retaken_step_counts_failed_attempt(monkeypatch):
     assert stats["schur_factorizations"][2] == failed[2] + retake[2] > retake[2]
     # one solve per step apart from the failed attempt
     assert len(calls) == len(stats["orders"]) + 1
+
+
+class _FakeStep:
+    """A step function for march: step k returns Y = k, two iterations and one factorization.
+
+    fail maps (k, order) to the MaxIterations the attempt raises instead.
+    """
+
+    def __init__(self, fail=None):
+        self.fail = fail or {}
+        self.calls = []
+
+    def __call__(self, order, history):
+        k = history[0] + 1
+        self.calls.append((k, order, list(history)))
+        if (k, order) in self.fail:
+            raise self.fail[k, order]
+        return k, {"iterations": 2, "factorizations": 1, "residual": 1e-3 * k}
+
+
+def test_march_orders_ramp():
+    for p, n, orders in ((2, 5, [1, 2, 2, 2, 2]), (3, 4, [1, 2, 3, 3])):
+        step = _FakeStep()
+        traj = march(step, 0, n * 0.1, 0.1, p)
+        assert traj.orders == orders
+        assert traj.euler_retakes == 0
+        # each step sees the last min(p, k) iterates, newest first
+        assert [hist for _, _, hist in step.calls] == [
+            list(range(k - 1, max(k - 1 - p, -1), -1)) for k in range(1, n + 1)]
+        assert traj.tail == list(range(max(n - p, 0), n + 1))
+
+
+def test_march_retakes_failed_multistep_step_as_euler():
+    failure = MaxIterations("no root", iterations=5, factorizations=3)
+    step = _FakeStep(fail={(3, 2): failure})
+    traj = march(step, 0, 0.5, 0.1, 2)
+    assert [(k, o) for k, o, _ in step.calls][2:4] == [(3, 2), (3, 1)]
+    assert traj.orders == [1, 2, 1, 2, 2]
+    assert traj.euler_retakes == 1
+    # the failed attempt's work counts towards the retaken step
+    assert traj.newton_iters == [2, 2, 5 + 2, 2, 2]
+    assert traj.schur_factorizations == [1, 1, 3 + 1, 1, 1]
+    assert traj.care_residuals[2] == 3e-3
+
+
+def test_march_order_one_failure_raises_step_failure():
+    for p, failing in ((1, [(3, 1)]), (2, [(3, 2), (3, 1)])):
+        fail = {key: MaxIterations(f"attempt {key}") for key in failing}
+        with pytest.raises(StepFailure) as info:
+            march(_FakeStep(fail=fail), 0, 0.5, 0.1, p)
+        assert info.value.step == 3
+        assert info.value.__cause__ is fail[3, 1]
+
+
+def test_march_samples_initial_requested_and_final():
+    traj = march(_FakeStep(), 0, 1.0, 0.1, 2, sample_times=[0.2, 0.5])
+    assert traj.times == pytest.approx([0.0, 0.2, 0.5, 1.0], abs=1e-15)
+    assert traj.ys == [0, 2, 5, 10]
+    assert traj.final == 10
+    # without requested times only the initial and the final state are kept
+    traj = march(_FakeStep(), 0, 1.0, 0.1, 2)
+    assert traj.ys == [0, 10]

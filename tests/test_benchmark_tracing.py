@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from krylov_dre import benchmarks, dense, lowrank, oracles, solver
+from krylov_dre import baseline, benchmarks, dense, lowrank, lqr, oracles, solver
 from krylov_dre.problem import DREProblem, SolverConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -78,3 +78,27 @@ def test_tracer_covers_the_oracle_layer():
     # the algebraic solution of the closed form, and the per-step CARE of the reference
     assert tr.calls["dense.solve_care"] >= 1
     assert tr.calls["dense.care"] == 10
+
+
+def test_tracer_covers_the_baseline_and_steady_state():
+    # the baseline's Newton and Lyapunov kernels are looked up as module
+    # globals through bdf.march's step closure, so the tracer still sees them
+    tracing = _load_tracing()
+    before = _bindings()
+    tr = tracing.Tracer()
+    with tr.installed():
+        sol = baseline.solve_baseline(benchmarks.gen_convdiff2d(3, seed=5, t_f=0.1),
+                                      SolverConfig(p=2, h=1e-2))
+        integrations = tr.calls["bdf.integrate"]
+        lqr.steady_state(benchmarks.gen_heat1d_fem(300, seed=3, alpha=0.05, dt=7e-5,
+                                                   t_f=1.0), tol=1e-9)
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    assert tr.calls["baseline.solve_baseline"] == 1
+    assert tr.calls["baseline.newton_step"] >= 1
+    assert tr.calls["baseline.eba_lyapunov"] >= 1
+    assert tr.calls["lqr.steady_state"] == 1
+    assert integrations == 0
+    # every Newton iteration of the step log is one traced Newton step
+    assert sum(sol.step_stats["newton_iters"]) == tr.calls["baseline.newton_step"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from krylov_dre.benchmarks import gen_heat1d_fem
-from krylov_dre.cli import cli_run
+from krylov_dre.cli import COMMANDS, cli_run, make_parser
 from krylov_dre.lqr import DENSE_STEADY_MAX_N, steady_state
 from krylov_dre.problem import SolverConfig
 
@@ -68,6 +68,47 @@ def test_convergence_curve_decreases(tmp_path):
     res = [float(r["residual"]) for r in rows]
     assert res[-1] < 1e-9
     assert res[0] > res[-1]
+    # the step log of the last checked order, as solve writes it
+    log = _read_csv(out / "bdf_log.csv")
+    assert len(log) == 100
+    assert list(log[0]) == ["k", "t", "order", "newton_iterations", "schur_factorizations",
+                            "care_residual"]
+
+
+def test_baseline_command_writes_step_log(tmp_path):
+    out = tmp_path / "base"
+    code = cli_run([
+        "baseline", "--family", "convdiff2d", "--n0", "4", "--tf", "0.1",
+        "--h", "1e-2", "--seed", "3", "--samples", "6", "--track", "0,0", "--out", str(out),
+    ])
+    assert code == 0
+    assert len(_read_csv(out / "convergence.csv")) == 10
+    log = _read_csv(out / "bdf_log.csv")
+    # Newton on the full equation reports no Schur factorizations
+    assert list(log[0]) == ["k", "t", "order", "newton_iterations", "care_residual"]
+    assert [int(r["order"]) for r in log] == [1] + [2] * 9
+    assert all(int(r["newton_iterations"]) >= 1 for r in log)
+    assert all(float(r["care_residual"]) <= 1e-12 for r in log)
+    assert [float(r["t"]) for r in _read_csv(out / "trajectory.csv")] == \
+        pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
+
+
+def test_every_subcommand_and_flag_parses():
+    common = [
+        "--family", "heat1d_fem", "--n0", "5", "--n", "10", "--s", "1", "--ell", "1",
+        "--alpha", "0.1", "--dt", "0.02", "--mtx-a", "a.mtx", "--mtx-b", "b.mtx",
+        "--mtx-c", "c.mtx", "--mtx-z0", "z.mtx", "--tf", "0.5", "--seed", "2",
+        "--config", "cfg.txt", "--p", "1", "--h", "0.1", "--tol", "1e-6", "--m-max", "5",
+        "--dtol", "1e-9", "--check-stride", "2", "--care-tol", "1e-9",
+        "--out", "out", "--track", "0,1", "--samples", "3",
+    ]
+    extra = {"solve": ["--arnoldi-diagnostics"], "compare": ["--methods", "eba"],
+             "lqr": ["--simulate", "--h-sim", "1e-3"]}
+    assert list(COMMANDS) == ["solve", "baseline", "reference", "compare", "convergence", "lqr"]
+    parser = make_parser()
+    for command in COMMANDS:
+        args = parser.parse_args([command] + common + extra.get(command, []))
+        assert (args.command, args.m_max, args.care_tol, args.samples) == (command, 5, 1e-9, 3)
 
 
 def test_compare_methods(tmp_path):

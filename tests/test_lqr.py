@@ -94,8 +94,8 @@ def test_simulated_cost_first_order_in_h(solved49, convdiff49):
 def test_scalar_steady_state():
     problem = DREProblem(A=np.array([[0.0]]), B=np.array([[1.0]]),
                          C=np.array([[1.0]]), Z0=np.zeros((1, 1)), t_f=1.0)
-    X = steady_state(problem)
-    assert X[0, 0] == pytest.approx(1.0, abs=1e-10)
+    Z = steady_state(problem)
+    assert (Z @ Z.T)[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scalar_long_horizon_cost_approaches_steady_state():
@@ -111,7 +111,8 @@ def test_scalar_long_horizon_cost_approaches_steady_state():
 
 
 def test_steady_state_dense_residual(convdiff49):
-    X = steady_state(convdiff49, tol=1e-10)
+    Z = steady_state(convdiff49, tol=1e-10)
+    X = Z @ Z.T
     A = dense_a(convdiff49)
     B, C = convdiff49.B, convdiff49.C
     R = A.T @ X + X @ A - X @ B @ (B.T @ X) + C.T @ C

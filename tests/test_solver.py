@@ -163,7 +163,7 @@ def test_extract_factor_indefinite_raises(convdiff49):
     arnoldi.expand(basis, handle)
     k = basis.order * basis.w
     Y = np.diag([1.0] * (k - 1) + [-1e-3])
-    with pytest.raises(IndefiniteY):
+    with pytest.raises(IndefiniteY, match="a smaller h, a longer t_f or p=1"):
         extract_factor(basis, Y, dtol=1e-10)
 
 
