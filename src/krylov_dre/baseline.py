@@ -16,7 +16,6 @@ is subtracted, so all factors stay real.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -74,12 +73,12 @@ class ClosedLoopOperator:
         return St - self.W @ self.U.T
 
 
-def _compress_columns(G, rtol=SEED_RTOL):
-    """Drop directions of G G^T below rtol of the dominant one (G ~ full rank out)."""
+def _compress_columns(G):
+    """Drop directions of G G^T below SEED_RTOL of the dominant one (G ~ full rank out)."""
     if G.shape[1] == 0:
         return G
     P, sig, _ = np.linalg.svd(G, full_matrices=False)
-    keep = sig > rtol * sig[0] if sig.size and sig[0] > 0 else np.zeros(sig.shape, bool)
+    keep = sig > SEED_RTOL * sig[0] if sig.size and sig[0] > 0 else np.zeros(sig.shape, bool)
     return P[:, keep] * sig[keep]
 
 
@@ -158,19 +157,6 @@ def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
     raise NotConverged(m_max, res)
 
 
-@dataclass
-class BaselineStepContext:
-    """Frozen per-step data for the Newton iteration on the step CARE."""
-
-    s_handle: object          # factorized curly_a
-    curly_b: np.ndarray
-    const_pos: np.ndarray     # positive-weight columns of the stacked factor
-    const_neg: np.ndarray     # negative-weight columns
-    lyap_tol: float
-    m_max: int
-    dtol: float
-
-
 def stacked_constant_factor(C, history, h, coeffs):
     """Split sqrt-weighted columns of curly_c^T into positive/negative groups.
 
@@ -192,25 +178,28 @@ def stacked_constant_factor(C, history, h, coeffs):
     return cat(pos), cat(neg)
 
 
-def newton_step_large(ctx: BaselineStepContext, X_p: SignedFactor) -> SignedFactor:
-    """One large-scale Newton-Kleinman iterate as a signed factor.
+def newton_step_large(X_p, s_handle, curly_b, pos, neg, lyap_tol, m_max,
+                      dtol) -> SignedFactor:
+    """One large-scale Newton-Kleinman iterate from X_p as a signed factor.
 
-    Two Lyapunov equations (positive and negative constant-term groups) are
-    solved on their own Krylov spaces and subtracted; the result is column
-    compressed.  For p=1 the negative group is empty and a single solve runs.
+    s_handle is the factorized curly_a, and pos/neg are the positive- and
+    negative-weight columns of the stacked constant factor.  Their two
+    Lyapunov equations are solved on their own Krylov spaces (to lyap_tol,
+    with at most m_max expansions) and subtracted; the result is column
+    compressed at dtol.  For p=1 the negative group is empty and a single
+    solve runs.
     """
-    W = X_p.apply(ctx.curly_b)
-    op = ClosedLoopOperator(ctx.s_handle, ctx.curly_b, W)
-    G_pos = np.hstack([ctx.const_pos, W])
-    f_pos = eba_lyapunov(op, G_pos, ctx.lyap_tol, ctx.m_max, ctx.dtol)
-    if ctx.const_neg.shape[1] == 0:
-        return f_pos.compress(ctx.dtol)
-    f_neg = eba_lyapunov(op, ctx.const_neg, ctx.lyap_tol, ctx.m_max, ctx.dtol)
+    W = X_p.apply(curly_b)
+    op = ClosedLoopOperator(s_handle, curly_b, W)
+    f_pos = eba_lyapunov(op, np.hstack([pos, W]), lyap_tol, m_max, dtol)
+    if neg.shape[1] == 0:
+        return f_pos.compress(dtol)
+    f_neg = eba_lyapunov(op, neg, lyap_tol, m_max, dtol)
     combined = SignedFactor(
         np.hstack([f_pos.Z, f_neg.Z]),
         np.concatenate([f_pos.signs, -f_neg.signs]),
     )
-    return combined.compress(ctx.dtol)
+    return combined.compress(dtol)
 
 
 def _shifted_operator(A, hb):
@@ -224,24 +213,16 @@ def _baseline_step(problem, config, handles, history, order, h):
     """One implicit step at the given order: Newton with factored iterates.
 
     Returns (iterate, residual estimate, constant-term scale, Newton
-    iterations of every start tried).  Raises MaxIterations on stall (no 2x
+    iterations of every start tried); the iterate is newton_step_large's,
+    compressed at config.dtol.  Raises MaxIterations on stall (no 2x
     improvement of the estimate over the last six iterations) or exhaustion.
     """
     coeffs = bdf_coefficients(order)
-    s_handle = handles[order]
     curly_b = np.sqrt(h * coeffs.beta) * problem.B
     pos, neg = stacked_constant_factor(problem.C, history[:order], h, coeffs)
     stacked = np.hstack([pos, neg])
     scale = max(float(np.linalg.norm(stacked, 2)) ** 2, 1e-300) if stacked.size else 1.0
-    ctx = BaselineStepContext(
-        s_handle=s_handle,
-        curly_b=curly_b,
-        const_pos=pos,
-        const_neg=neg,
-        lyap_tol=0.25 * config.care_tol * scale,
-        m_max=config.m_max,
-        dtol=config.dtol,
-    )
+    lyap_tol = 0.25 * config.care_tol * scale
     starts = [history[0]]
     if history[0].rank > 0:
         # zero is a guaranteed stabilizing start whenever curly_a is stable
@@ -254,9 +235,10 @@ def _baseline_step(problem, config, handles, history, order, h):
         try:
             for it in range(1, NEWTON_MAXIT + 1):
                 iterations += 1
-                X_next = newton_step_large(ctx, X_it)
+                X_next = newton_step_large(X_it, handles[order], curly_b, pos, neg,
+                                           lyap_tol, config.m_max, config.dtol)
                 diffB = X_next.apply(curly_b) - X_it.apply(curly_b)
-                est = float(np.linalg.norm(diffB, 2)) ** 2 + 2 * ctx.lyap_tol
+                est = float(np.linalg.norm(diffB, 2)) ** 2 + 2 * lyap_tol
                 X_it = X_next
                 if est <= config.care_tol * scale:
                     return X_it, est, scale, iterations
@@ -291,9 +273,8 @@ def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
     t0 = time.perf_counter()
 
     def step(order, history):
-        X_it, est, scale, iterations = _baseline_step(problem, config, handles, history,
-                                                      order, h)
-        X = X_it.compress(config.dtol)
+        X, est, scale, iterations = _baseline_step(problem, config, handles, history,
+                                                   order, h)
         trace.append(ConvergenceRecord(
             m=len(trace) + 1, residual=est / scale, rank=X.rank,
             matvecs=sum(hh.matvecs for hh in handles.values()),

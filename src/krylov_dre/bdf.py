@@ -17,9 +17,6 @@ import numpy as np
 from .dense import care_local_root, symmetrize
 from .errors import SolverError, StepFailure, UnsupportedOrder
 
-# Iteration cap of each step's CARE solve.
-CARE_MAXIT = 50
-
 _BDF_TABLE = {
     1: (1.0, (1.0,)),
     2: (2.0 / 3.0, (4.0 / 3.0, -1.0 / 3.0)),
@@ -175,8 +172,7 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTraje
         # indefinite) roots that the strict stabilizing iteration cannot reach.
         # A failed attempt's factor is dropped with it.
         Y, info = care_local_root(A, B, symmetrize(q), x_start=history[0],
-                                  tol=config.care_tol, maxit=CARE_MAXIT,
-                                  return_info=True, factor=factors.get(order))
+                                  tol=config.care_tol, factor=factors.get(order))
         factors[order] = info["factor"]
         return Y, info
 

@@ -111,8 +111,9 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-# solver of each solve command; convergence is solve's trace under its own name
-SOLVERS = {"solve": solve, "convergence": solve, "baseline": solve_baseline}
+# solver of each solve command (convergence is solve's trace under its own
+# name) and of each compare method but the dense reference
+SOLVERS = {"solve": solve, "convergence": solve, "baseline": solve_baseline, "eba": solve}
 # bdf_log.csv column of each step_stats key
 _BDF_LOG = (("orders", "order"), ("newton_iters", "newton_iterations"),
             ("schur_factorizations", "schur_factorizations"), ("care_residuals", "care_residual"))
@@ -184,16 +185,12 @@ def cmd_compare(args, out, problem, config):
     timings = {}
     for name in methods:
         t0 = time.perf_counter()
-        if name == "eba":
-            sol = solve(problem, config)
-            finals[name] = SignedFactor.from_psd(sol.Z)
-        elif name == "baseline":
-            sol = solve_baseline(problem, config)
-            finals[name] = SignedFactor.from_psd(sol.Z)
-        else:
+        if name == "reference":
             X = dense_reference_integrate(problem, config.h / 10.0, [problem.t_f],
                                           p=config.p)[0]
             finals[name] = SignedFactor.from_psd(psd_factor(X, config.dtol)[0])
+        else:
+            finals[name] = SignedFactor.from_psd(SOLVERS[name](problem, config).Z)
         timings[name] = time.perf_counter() - t0
     rows = []
     for a in range(len(methods)):

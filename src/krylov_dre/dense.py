@@ -1,4 +1,4 @@
-"""Dense matrix-equation kernels: Lyapunov, Riccati, matrix exponential, PSD factors.
+"""Dense matrix-equation kernels: Lyapunov, Riccati, PSD factors.
 
 These operate on the small projected matrices (order a few hundred at most).
 All solvers symmetrize their output and are pure functions of their inputs.
@@ -20,6 +20,10 @@ from .errors import MaxIterations, NoStabilizingGuess, SpectrumIncompatible
 # drifted from the current closed loop, so it is refreshed on the next step.
 CHORD_CONTRACTION = 0.1
 CHORD_REFRESH = 1e-3
+# Iteration caps: care_local_root (each BDF step's CARE) and solve_care
+# (Newton-Kleinman for the steady state and the oracle).
+CARE_MAXIT = 50
+NK_MAXIT = 60
 
 
 def symmetrize(M):
@@ -152,55 +156,51 @@ def _bass_stabilizing_start(A, B):
     return symmetrize(X) if is_stable(A - B @ (B.T @ X)) else None
 
 
-def solve_care(A, B, Q, x_init=None, tol=1e-12, maxit=50, return_info=False):
+def solve_care(A, B, Q, x_init=None, tol=1e-12):
     """Stabilizing solution of A^T X + X A - X B B^T X + Q = 0 by Newton-Kleinman.
 
     Parameters
     ----------
-    x_init : warm start, used when given (the previous timestep's solution in
-        the BDF loop).  Otherwise the iteration starts from 0, which requires
-        A itself to be stable; if neither holds, NoStabilizingGuess is raised.
+    x_init : warm start (e.g. the solution on a smaller subspace), used when
+        its closed loop A - B B^T x_init is stable.  Otherwise the iteration
+        starts cold: from 0 when A is stable, else from the Bass start; if
+        neither exists, NoStabilizingGuess is raised.
     tol : relative residual stopping tolerance.
-    maxit : iteration cap; MaxIterations is raised when exceeded.
 
-    Q may be indefinite (BDF steps with negative alpha_i produce indefinite
-    constant terms); only a stabilizing start is required.
+    MaxIterations is raised after NK_MAXIT iterations.  Q may be indefinite;
+    only a stabilizing start is required.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = symmetrize(np.asarray(Q, dtype=float))
-    k = A.shape[0]
+    X = None
     if x_init is not None:
         X = symmetrize(np.asarray(x_init, dtype=float))
-    else:
-        X = np.zeros((k, k))
-        if not is_stable(A):
-            X = _bass_stabilizing_start(A, B)
-            if X is None:
-                raise NoStabilizingGuess(
-                    "A unstable, no warm start, and Bass initialization failed"
-                )
-    if not is_stable(A - B @ (B.T @ X)):
-        raise NoStabilizingGuess("initial closed loop A - B B^T X0 is not stable")
+        if not is_stable(A - B @ (B.T @ X)):
+            X = None
+    if X is None:
+        # both cold starts are stabilizing by construction
+        X = np.zeros(A.shape) if is_stable(A) else _bass_stabilizing_start(A, B)
+        if X is None:
+            raise NoStabilizingGuess(
+                "A unstable, no stabilizing warm start, and Bass initialization failed"
+            )
     iters = 0
     res = care_residual(A, B, Q, X)
     while res > tol:
-        if iters >= maxit:
+        if iters >= NK_MAXIT:
             raise MaxIterations(
-                f"Newton-Kleinman: residual {res:.3e} > {tol:.1e} after {maxit} steps"
+                f"Newton-Kleinman: residual {res:.3e} > {tol:.1e} after {NK_MAXIT} steps"
             )
         X = newton_kleinman_step(A, B, Q, X)
         if not np.all(np.isfinite(X)):
             raise SpectrumIncompatible("Newton-Kleinman produced non-finite iterate")
         iters += 1
         res = care_residual(A, B, Q, X)
-    if return_info:
-        return X, {"iterations": iters, "residual": res}
     return X
 
 
-def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
-                    factor=None):
+def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None):
     """Damped Newton for the CARE root nearest a warm start.
 
     Each step solves the Kleinman Lyapunov equation in delta form and
@@ -208,8 +208,8 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
     iterates (or the root) to be stabilizing -- BDF steps over a stiff
     transient produce exactly such roots.  With a full step accepted the
     iteration coincides with Newton-Kleinman.  Raises MaxIterations when the
-    residual cannot be reduced to tol (in particular when the step equation
-    has no symmetric solution at all).
+    residual cannot be reduced to tol within CARE_MAXIT iterations (in
+    particular when the step equation has no symmetric solution at all).
 
     factor, a SchurFactor of an earlier closed loop A - B B^T X_old (e.g. the
     previous time step's), turns on chord steps: an iteration first takes
@@ -220,10 +220,11 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
     the damped Newton step is taken, after which chord steps use the new
     factor.  Without a factor every iteration is a damped Newton step.  The
     stop test is the true relative residual in both cases.  X and every
-    delta are exactly symmetric, and so is each iterate.  info holds the
-    iterations (chord steps included), the Schur factorizations made and the
-    last factor, for the next call; a MaxIterations raised carries the
-    iterations and factorizations made before it.
+    delta are exactly symmetric, and so is each iterate.  Returns (X, info):
+    info holds the relative residual, the iterations (chord steps included),
+    the Schur factorizations made and the last factor, for the next call; a
+    MaxIterations raised carries the iterations and factorizations made
+    before it.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -243,9 +244,9 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
     R, r, den, BtX = state(X)
     iters = factorizations = 0
     while r > tol * den:
-        if iters >= maxit:
+        if iters >= CARE_MAXIT:
             raise MaxIterations(
-                f"damped CARE Newton: residual {r / den:.3e} after {maxit} steps",
+                f"damped CARE Newton: residual {r / den:.3e} after {CARE_MAXIT} steps",
                 iters, factorizations,
             )
         iters += 1
@@ -280,15 +281,8 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, maxit=50, return_info=False,
                 )
         X, R, r, den, BtX = Xt, Rt, rt, den_t, BtXt
         chord = chord_mode
-    if return_info:
-        return X, {"iterations": iters, "residual": r / den,
-                   "factorizations": factorizations, "factor": factor}
-    return X
-
-
-def matrix_exponential(M):
-    """Matrix exponential (scaling-and-squaring with Pade kernel)."""
-    return sla.expm(np.asarray(M, dtype=float))
+    return X, {"iterations": iters, "residual": r / den,
+               "factorizations": factorizations, "factor": factor}
 
 
 def psd_factor(Y, dtol):

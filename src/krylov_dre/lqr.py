@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import arnoldi
 from .dense import psd_factor, solve_care
-from .errors import NoStabilizingGuess, NotConverged
+from .errors import NotConverged
 from .problem import factorize
 from .solver import krylov_orders, residual_estimate
 
@@ -177,7 +177,7 @@ def steady_state(problem, tol=1e-10):
     B, C = problem.B, problem.C
     if n <= DENSE_STEADY_MAX_N:
         A = problem.A.toarray() if sp.issparse(problem.A) else np.asarray(problem.A, float)
-        X = solve_care(A, B, C.T @ C, x_init=None, tol=tol * 1e-2, maxit=60)
+        X = solve_care(A, B, C.T @ C, tol=tol * 1e-2)
         return psd_factor(X, STEADY_DTOL)[0]
 
     y_prev = None
@@ -189,10 +189,7 @@ def steady_state(problem, tol=1e-10):
         if y_prev is not None:
             warm = np.zeros((k, k))
             warm[: y_prev.shape[0], : y_prev.shape[1]] = y_prev
-        try:
-            Y = solve_care(T_m.T, B_m, C_m.T @ C_m, x_init=warm, tol=1e-14, maxit=60)
-        except NoStabilizingGuess:
-            Y = solve_care(T_m.T, B_m, C_m.T @ C_m, x_init=None, tol=1e-14, maxit=60)
+        Y = solve_care(T_m.T, B_m, C_m.T @ C_m, x_init=warm, tol=1e-14)
         y_prev = Y
         res = residual_estimate(basis, Y).value
         if res < tol:

@@ -18,10 +18,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .bdf import integrate
-from .dense import matrix_exponential, solve_care, solve_lyapunov, symmetrize
+from .dense import solve_care, solve_lyapunov, symmetrize
 from .errors import (
     MaxIterations,
     NoStabilizingGuess,
@@ -53,9 +54,9 @@ def oracle_data(problem) -> OracleData:
     A = _dense_a(problem)
     B, C = problem.B, problem.C
     try:
-        Xt = solve_care(A, B, C.T @ C, x_init=None, tol=1e-13, maxit=60)
+        Xt = solve_care(A, B, C.T @ C, tol=1e-13)
     except MaxIterations:
-        Xt = solve_care(A, B, C.T @ C, x_init=None, tol=1e-10, maxit=60)
+        Xt = solve_care(A, B, C.T @ C, tol=1e-10)
     except (NoStabilizingGuess, SpectrumIncompatible) as exc:
         raise NotStabilizable(str(exc)) from exc
     At = A - B @ (B.T @ Xt)
@@ -107,7 +108,7 @@ def exact_solution(problem, t):
     data = oracle_data(problem)
     Xt, At, Zt = data.x_tilde, data.a_tilde, data.z_tilde
     D0 = X0 - Xt
-    E = matrix_exponential(t * At)
+    E = sla.expm(t * At)
     try:
         inv_d0 = np.linalg.inv(D0)
     except np.linalg.LinAlgError as exc:

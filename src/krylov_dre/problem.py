@@ -70,8 +70,11 @@ class SolverConfig:
     def validate(self):
         if self.p not in (1, 2, 3):
             raise ValueError(f"BDF order p must be in {{1,2,3}}, got {self.p}")
-        if self.h <= 0 or self.tol <= 0 or self.dtol <= 0:
-            raise ValueError("h, tol and dtol must be positive")
+        for name in ("h", "tol", "dtol", "care_tol"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so a NaN tolerance would pass every stop test
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.check_stride < 1 or self.m_max < 1:
             raise ValueError("check_stride and m_max must be >= 1")
         return self

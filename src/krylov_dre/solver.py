@@ -32,9 +32,7 @@ PSD_RTOL = 1e-8
 class ResidualEstimate:
     """||T_{m+1,m} Yhat_m||_2 with the coupling block; 0 on clean breakdown."""
 
-    m: int
     value: float
-    t_coupling: np.ndarray | None
 
 
 @dataclass
@@ -80,13 +78,10 @@ def residual_estimate(basis, y_final) -> ResidualEstimate:
     y_hat = np.asarray(y_final)[-basis.w:, :]
     T_sub = basis.t_coupling()
     if T_sub is None:
-        perp = basis.residual_block
-        if perp is None or np.linalg.norm(perp, 2) <= 1e-12 * max(basis.residual_scale, 1e-300):
-            return ResidualEstimate(m=basis.order, value=0.0, t_coupling=None)
-        value = float(np.linalg.norm(perp @ y_hat, 2))
-        return ResidualEstimate(m=basis.order, value=value, t_coupling=None)
-    value = float(np.linalg.norm(T_sub @ y_hat, 2))
-    return ResidualEstimate(m=basis.order, value=value, t_coupling=T_sub.copy())
+        T_sub = basis.residual_block
+        if T_sub is None or np.linalg.norm(T_sub, 2) <= 1e-12 * max(basis.residual_scale, 1e-300):
+            return ResidualEstimate(value=0.0)
+    return ResidualEstimate(value=float(np.linalg.norm(T_sub @ y_hat, 2)))
 
 
 def extract_factor(basis, y_final, dtol, residual=None, psd=None) -> LowRankSolution:
@@ -171,23 +166,20 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
             # residual test and keep expanding.
             if last:
                 raise
-            trace.append(ConvergenceRecord(
-                m=basis.order, residual=np.inf, rank=0,
-                matvecs=handle.matvecs, solves=handle.solves,
-                seconds=time.perf_counter() - t0,
-            ))
-            continue
-        est = residual_estimate(basis, traj.final)
-        psd = psd_factor(traj.final, config.dtol)
+            residual, rank = np.inf, 0
+        else:
+            est = residual_estimate(basis, traj.final)
+            psd = psd_factor(traj.final, config.dtol)
+            residual, rank = est.value, psd[0].shape[1]
         trace.append(ConvergenceRecord(
-            m=basis.order, residual=est.value, rank=psd[0].shape[1],
+            m=basis.order, residual=residual, rank=rank,
             matvecs=handle.matvecs, solves=handle.solves,
             seconds=time.perf_counter() - t0,
         ))
-        if est.value < config.tol:
+        if residual < config.tol:
             break
     else:
-        raise NotConverged(basis.order, est.value, breakdown=basis.breakdown)
+        raise NotConverged(basis.order, residual, breakdown=basis.breakdown)
 
     sol = extract_factor(basis, traj.final, config.dtol, residual=est, psd=psd)
     sol.trace = trace

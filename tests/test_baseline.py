@@ -6,7 +6,6 @@ from krylov_dre.baseline import (
     ClosedLoopOperator,
     eba_lyapunov,
     newton_step_large,
-    BaselineStepContext,
     solve_baseline,
     stacked_constant_factor,
     _shifted_operator,
@@ -122,11 +121,8 @@ def test_newton_step_large_matches_dense_kernel():
             SignedFactor.from_psd(0.1 * rng.standard_normal((49, 3)))]
     pos, neg = stacked_constant_factor(problem.C, hist, h, coeffs)
     X_p = SignedFactor.from_psd(0.1 * rng.standard_normal((49, 4)))
-    ctx = BaselineStepContext(
-        s_handle=s_handle, curly_b=curly_b, const_pos=pos, const_neg=neg,
-        lyap_tol=1e-12, m_max=60, dtol=1e-13,
-    )
-    got = newton_step_large(ctx, X_p).to_dense()
+    got = newton_step_large(X_p, s_handle, curly_b, pos, neg, lyap_tol=1e-12, m_max=60,
+                            dtol=1e-13).to_dense()
 
     # dense oracle: one Newton-Kleinman step on the assembled step CARE
     from krylov_dre.dense import newton_kleinman_step
@@ -147,15 +143,12 @@ def test_newton_step_large_fixed_point():
     pos, neg = stacked_constant_factor(problem.C, hist, h, coeffs)
     A_step = (h * coeffs.beta) * dense_a(problem) - 0.5 * np.eye(25)
     Q = pos @ pos.T
-    X_star = solve_care(A_step, curly_b, Q, tol=1e-14, maxit=60)
+    X_star = solve_care(A_step, curly_b, Q, tol=1e-14)
     lam, W = np.linalg.eigh(X_star)
     keep = lam > 1e-13 * lam.max()
     f_star = SignedFactor.from_psd(W[:, keep] * np.sqrt(lam[keep]))
-    ctx = BaselineStepContext(
-        s_handle=s_handle, curly_b=curly_b, const_pos=pos, const_neg=neg,
-        lyap_tol=1e-13, m_max=60, dtol=1e-13,
-    )
-    stepped = newton_step_large(ctx, f_star)
+    stepped = newton_step_large(f_star, s_handle, curly_b, pos, neg, lyap_tol=1e-13,
+                                m_max=60, dtol=1e-13)
     assert signed_diff_fro(stepped, f_star) <= 1e-8 * max(f_star.frobenius(), 1.0)
 
 

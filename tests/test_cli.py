@@ -204,6 +204,18 @@ def test_error_record_on_failure(tmp_path):
     assert record["error"] == "SolverError"
 
 
+def test_nan_care_tol_rejected(tmp_path):
+    # a NaN CARE tolerance would pass every step's stop test unsolved
+    out = tmp_path / "nan"
+    code = cli_run([
+        "solve", "--family", "heat1d_fem", "--n", "100", "--seed", "1", "--tf", "0.1",
+        "--h", "1e-2", "--care-tol", "nan", "--out", str(out),
+    ])
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError" and "care_tol" in record["message"]
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("p = 1\nh = 5e-3\ntol = 1e-7\n")

@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 import scipy.linalg as sla
 
+from krylov_dre import dense
 from krylov_dre.dense import (
     SchurFactor,
     _schur_eigenvalues,
     care_local_root,
     care_residual,
     lyapunov_residual,
-    matrix_exponential,
     newton_kleinman_step,
     solve_care,
     psd_factor,
@@ -67,9 +67,20 @@ def test_care_fixed_point_returns_warm_start():
     B = rng.standard_normal((5, 2))
     C = rng.standard_normal((2, 5))
     X = solve_care(A, B, C.T @ C)
-    X2, info = solve_care(A, B, C.T @ C, x_init=X, return_info=True)
-    assert info["iterations"] == 0
-    assert np.allclose(X2, X, atol=1e-12)
+    X2 = solve_care(A, B, C.T @ C, x_init=X)
+    # zero iterations: the warm start comes back as it went in
+    assert np.array_equal(X2, X)
+
+
+def test_care_unstable_warm_start_falls_back_to_cold_start():
+    A = random_stable(5, seed=61)
+    rng = np.random.default_rng(62)
+    B = rng.standard_normal((5, 2))
+    C = rng.standard_normal((2, 5))
+    warm = -50.0 * np.eye(5)
+    assert np.linalg.eigvals(A - B @ (B.T @ warm)).real.max() > 0.0
+    X = solve_care(A, B, C.T @ C, x_init=warm)
+    assert np.array_equal(X, solve_care(A, B, C.T @ C))
 
 
 def test_care_stabilizing_and_residual():
@@ -107,7 +118,7 @@ def test_newton_quadratic_convergence():
     B = rng.standard_normal((6, 2))
     C = rng.standard_normal((2, 6))
     Q = C.T @ C
-    X_star = solve_care(A, B, Q, tol=1e-14, maxit=60)
+    X_star = solve_care(A, B, Q, tol=1e-14)
     X = np.zeros((6, 6))
     errs = []
     for _ in range(8):
@@ -130,12 +141,21 @@ def test_care_no_stabilizing_guess():
         solve_care(A, B, np.eye(2))
 
 
-def test_care_max_iterations():
+def test_care_no_stabilizing_guess_with_warm_start():
+    # neither the warm start nor a cold start stabilizes the uncontrollable mode
+    A = np.diag([1.0, -2.0])
+    B = np.array([[0.0], [1.0]])
+    with pytest.raises(NoStabilizingGuess):
+        solve_care(A, B, np.eye(2), x_init=np.eye(2))
+
+
+def test_care_max_iterations(monkeypatch):
     A = random_stable(4, seed=41)
     rng = np.random.default_rng(42)
     B = rng.standard_normal((4, 1))
-    with pytest.raises(MaxIterations):
-        solve_care(A, B, np.eye(4), maxit=1, tol=1e-15)
+    monkeypatch.setattr(dense, "NK_MAXIT", 1)
+    with pytest.raises(MaxIterations, match="after 1 steps"):
+        solve_care(A, B, np.eye(4), tol=1e-15)
 
 
 def test_care_local_root_matches_strict_solver():
@@ -145,7 +165,7 @@ def test_care_local_root_matches_strict_solver():
     C = rng.standard_normal((2, 5))
     Q = C.T @ C
     X_strict = solve_care(A, B, Q)
-    X_local = care_local_root(A, B, Q, x_start=X_strict + 1e-3 * np.eye(5))
+    X_local, _ = care_local_root(A, B, Q, x_start=X_strict + 1e-3 * np.eye(5))
     assert np.allclose(X_local, X_strict, atol=1e-9)
 
 
@@ -155,15 +175,14 @@ def test_care_local_root_no_root_raises():
     B = np.array([[2.0]])      # q = 4
     Q = np.array([[-1.0]])     # s = -1; disc = 1 - 16 < 0
     with pytest.raises(MaxIterations):
-        care_local_root(A, B, Q, x_start=np.zeros((1, 1)), maxit=40)
+        care_local_root(A, B, Q, x_start=np.zeros((1, 1)))
 
 
 def test_care_local_root_no_root_raises_with_factor():
     # chord steps cannot reach a root that does not exist either
     A, B, Q = np.array([[-0.5]]), np.array([[2.0]]), np.array([[-1.0]])
     with pytest.raises(MaxIterations):
-        care_local_root(A, B, Q, x_start=np.zeros((1, 1)), maxit=40,
-                        factor=SchurFactor(A))
+        care_local_root(A, B, Q, x_start=np.zeros((1, 1)), factor=SchurFactor(A))
 
 
 def _care_5x5():
@@ -179,11 +198,10 @@ def test_care_local_root_stale_factor_same_root():
     X_root = solve_care(A, B, Q)
     start = X_root + 1e-3 * np.eye(5)
     tol = 1e-12
-    X_plain, plain = care_local_root(A, B, Q, x_start=start, tol=tol, return_info=True)
+    X_plain, plain = care_local_root(A, B, Q, x_start=start, tol=tol)
     # closed loop of a far-away X: its chord steps stall and the factor is refreshed
     stale = SchurFactor(A - B @ (B.T @ (30.0 * X_root)))
-    X_chord, chord = care_local_root(A, B, Q, x_start=start, tol=tol, return_info=True,
-                                     factor=stale)
+    X_chord, chord = care_local_root(A, B, Q, x_start=start, tol=tol, factor=stale)
     assert plain["residual"] <= tol and chord["residual"] <= tol
     assert care_residual(A, B, Q, X_chord) <= tol
     assert np.linalg.norm(X_chord - X_plain) <= 1e3 * tol * np.linalg.norm(X_plain)
@@ -196,8 +214,7 @@ def test_care_local_root_fresh_factor_needs_no_factorization():
     X_root = solve_care(A, B, Q)
     start = X_root + 1e-6 * np.eye(5)
     factor = SchurFactor(A - B @ (B.T @ X_root))
-    X, info = care_local_root(A, B, Q, x_start=start, tol=1e-12, return_info=True,
-                              factor=factor)
+    X, info = care_local_root(A, B, Q, x_start=start, tol=1e-12, factor=factor)
     assert info["factorizations"] == 0 and info["factor"] is factor
     assert info["iterations"] >= 1 and info["residual"] <= 1e-12
     assert np.allclose(X, X_root, atol=1e-9)
@@ -237,22 +254,6 @@ def test_schur_eigenvalues_match_eigvals(seed, k):
     ref = np.sort_complex(np.linalg.eigvals(T)) if k else np.zeros(0, complex)
     assert ours.shape == (k,)
     assert np.allclose(ours, ref, rtol=1e-10, atol=0.0)
-
-
-# ---------------------------------------------------------------- expm
-
-def test_expm_zero():
-    assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
-
-
-def test_expm_diagonal():
-    E = matrix_exponential(np.diag([1.0, -1.0]))
-    assert np.allclose(E, np.diag([np.e, 1.0 / np.e]), rtol=1e-13)
-
-
-def test_expm_nilpotent():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(matrix_exponential(M), np.eye(2) + M, atol=1e-15)
 
 
 # ---------------------------------------------------------------- truncation

@@ -145,6 +145,13 @@ def test_solver_config_validation():
     assert SolverConfig().validate().p == 2
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["h", "tol", "dtol", "care_tol"])
+def test_solver_config_rejects_bad_step_and_tolerances(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        SolverConfig(**{name: value}).validate()
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "solver.cfg"
     path.write_text("# comment\np = 3\nh = 0.002\ntol = 1e-8\ncheck_stride = 3\n")
