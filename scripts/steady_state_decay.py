@@ -20,7 +20,7 @@ from krylov_dre.solver import solve
 
 def main():
     problem = gen_heat1d_fem(400, seed=3, alpha=0.05, dt=7e-5, t_f=50.0)
-    config = SolverConfig(p=2, h=0.025, tol=1e-8, m_max=25, check_stride=3)
+    config = SolverConfig(p=2, h=0.025, tol=1e-8, m_max=25)
     ts = np.arange(0.0, 50.0 + 1e-9, 2.5)
     sol = solve(problem, config, sample_times=ts)
     finf = SignedFactor.from_psd(steady_state(problem, tol=1e-10))

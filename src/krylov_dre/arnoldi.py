@@ -85,6 +85,21 @@ class ExtendedKrylovBasis:
             return None
         return self.T[m * self.w : (m + 1) * self.w, (m - 1) * self.w : m * self.w]
 
+    def truncated(self, m):
+        """The basis as it stood after m <= order expansions.
+
+        Blocks and projected columns are never rewritten once appended, so V
+        and T of order m are leading slices (views) of the current ones.
+        """
+        if m == self.order:
+            return self
+        if not 1 <= m < self.order:
+            raise ValueError(f"cannot cut a basis of order {self.order} to order {m}")
+        cut = ExtendedKrylovBasis(self.V[:, : (m + 1) * self.w], self.Lambda, self.s)
+        cut.m = m
+        cut.T = self.T[: (m + 1) * self.w, : m * self.w]
+        return cut
+
 
 def seed(handle, C) -> ExtendedKrylovBasis:
     """Start the process: QR of [C^T, A^{-T}C^T] gives V_1 and Lambda.

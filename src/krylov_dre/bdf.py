@@ -50,7 +50,9 @@ class ProjectedTrajectory:
     solved by chord steps alone or one that reports none), care_residuals
     and orders are per-step logs of the accepted step solves; euler_retakes
     counts the BDF(p) steps retaken as implicit Euler, whose newton_iters and
-    schur_factorizations include the failed attempt.
+    schur_factorizations include the failed attempt.  stationary_steps counts
+    the trailing steps that were not taken because the trajectory had become
+    stationary; the logs hold their repeated values.
     """
 
     times: np.ndarray
@@ -61,6 +63,7 @@ class ProjectedTrajectory:
     care_residuals: list = field(default_factory=list)
     orders: list = field(default_factory=list)
     euler_retakes: int = 0
+    stationary_steps: int = 0
 
     @property
     def final(self):
@@ -71,7 +74,8 @@ class ProjectedTrajectory:
         return {"h": h, "newton_iters": self.newton_iters,
                 "schur_factorizations": self.schur_factorizations,
                 "care_residuals": self.care_residuals, "orders": self.orders,
-                "euler_retakes": self.euler_retakes}
+                "euler_retakes": self.euler_retakes,
+                "stationary_steps": self.stationary_steps}
 
 
 def step_grid(t_f, h, sample_times=None):
@@ -104,6 +108,13 @@ def march(step, Y0, t_f, h, p, sample_times=None) -> ProjectedTrajectory:
     1 raises StepFailure with the step index, chained to its cause.  The
     initial state, the states nearest to sample_times and the final state
     are recorded.
+
+    A step at order p, not retaken, that reports 0 iterations and returns
+    the iterate its whole history holds (bit for bit) ends the loop: the
+    next step would see the same order and history, so, with step a
+    function of those and of state it changes only while iterating, every
+    later step returns the same iterate.  Their log entries repeat this
+    step's and are counted in stationary_steps.
     """
     n_steps, sample_idx = step_grid(t_f, h, sample_times)
     traj = ProjectedTrajectory(times=[0.0], ys=[Y0], tail=[Y0])
@@ -137,9 +148,27 @@ def march(step, Y0, t_f, h, p, sample_times=None) -> ProjectedTrajectory:
         if k == n_steps or k in sample_idx:
             traj.times.append(k * h)
             traj.ys.append(Y)
+        # a retaken step ran at order 1 < p; at order p the tail holds the
+        # step's p history iterates and Y
+        if (info["iterations"] == 0 and order == p
+                and all(_same_bits(Y_i, Y) for Y_i in traj.tail[:-1])):
+            traj.stationary_steps = n_steps - k
+            for log in (traj.newton_iters, traj.schur_factorizations,
+                        traj.care_residuals, traj.orders):
+                log.extend(log[-1:] * traj.stationary_steps)
+            later = [j for j in range(k + 1, n_steps + 1) if j == n_steps or j in sample_idx]
+            traj.times += [j * h for j in later]
+            traj.ys += [Y] * len(later)
+            break
 
     traj.times = np.array(traj.times)
     return traj
+
+
+def _same_bits(a, b):
+    """True when a and b are arrays with the same shape and bytes."""
+    return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTrajectory:

@@ -129,9 +129,9 @@ def cmd_solve(args, out, problem, config):
                    ["m", "orthonormality_deviation", "relation_residual"],
                    _arnoldi.diagnostics_history(sol.basis, factorize(problem.A)))
     _write_csv(out / "convergence.csv",
-               ["m", "residual", "rank", "matvecs", "solves", "seconds"],
-               [(r.m, r.residual, r.rank, r.matvecs, r.solves, r.seconds)
-                for r in sol.trace])
+               ["m", "residual", "rank", "matvecs", "solves", "seconds", "screen", "skipped"],
+               [(r.m, r.residual, r.rank, r.matvecs, r.solves, r.seconds,
+                 int(r.screen), int(r.skipped)) for r in sol.trace])
     _write_csv(out / "solution.csv",
                ["method", "m", "rank", "residual", "converged", "breakdown", "seconds"],
                [(sol.method, sol.m, sol.rank,

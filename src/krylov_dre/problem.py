@@ -53,10 +53,7 @@ class DREProblem:
 class SolverConfig:
     """Knobs shared by the projection solver, the baseline and the integrators.
 
-    h must divide t_f into an integer number of steps.  check_stride controls
-    how often the (comparatively expensive) projected integration and residual
-    test are performed along the outer Krylov iteration; 1 is the right choice
-    for small problems, 3 pays off on large ones.
+    h must divide t_f into an integer number of steps.
     """
 
     p: int = 2
@@ -64,7 +61,6 @@ class SolverConfig:
     tol: float = 1e-10
     m_max: int = 50
     dtol: float = 1e-12
-    check_stride: int = 1
     care_tol: float = 1e-12
 
     def validate(self):
@@ -75,8 +71,8 @@ class SolverConfig:
             # NaN fails every comparison, so a NaN tolerance would pass every stop test
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.check_stride < 1 or self.m_max < 1:
-            raise ValueError("check_stride and m_max must be >= 1")
+        if self.m_max < 1:
+            raise ValueError("m_max must be >= 1")
         return self
 
 

@@ -13,7 +13,7 @@ until the factor of the returned solution is assembled.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,13 @@ from .problem import DREProblem, SolverConfig, factorize
 # Eigenvalues of Y below -PSD_RTOL * sigma_max fail the PSD check of the
 # factor extraction; anything above is dropped or kept by the dtol rule.
 PSD_RTOL = 1e-8
+# Implicit-Euler steps over [0, t_f] of the screen that precedes the
+# configured BDF(p) run at each m.
+SCREEN_STEPS = 20
+# A screen residual within SCREEN_SAFETY * tol makes m the candidate.  On
+# convdiff2d the screen matches the configured residual to 3 digits; on
+# heat1d it overestimates it, by up to 4x.
+SCREEN_SAFETY = 4.0
 
 
 @dataclass
@@ -37,12 +44,19 @@ class ResidualEstimate:
 
 @dataclass
 class ConvergenceRecord:
+    """One integration at order m: the screen's or the configured one.
+
+    skipped marks an integration that raised StepFailure (residual inf).
+    """
+
     m: int
     residual: float
     rank: int
     matvecs: int
     solves: int
     seconds: float
+    screen: bool = False
+    skipped: bool = False
 
 
 @dataclass
@@ -115,12 +129,12 @@ def _project_initial(basis, Z0):
     return G @ G.T
 
 
-def krylov_orders(problem, handle, m_max, stride=1):
+def krylov_orders(problem, handle, m_max):
     """Grow the extended Krylov basis of (A^T, C^T), yielding (basis, last).
 
-    A yield follows every stride-th expansion, expansion m_max and a
-    breakdown; last is True on the final yield (m_max reached or the subspace
-    found invariant, in which case basis.breakdown is set).
+    A yield follows every expansion; last is True on the final yield (m_max
+    reached or the subspace found invariant, in which case basis.breakdown is
+    set).
     """
     basis = arnoldi.seed(handle, problem.C)
     for m in range(1, m_max + 1):
@@ -129,63 +143,123 @@ def krylov_orders(problem, handle, m_max, stride=1):
         except Breakdown:
             yield basis, True
             return
-        if m % stride == 0 or m == m_max:
-            yield basis, m == m_max
+        yield basis, m == m_max
 
 
 def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
           handle=None) -> LowRankSolution:
     """Run the outer projection loop until the residual stop test passes.
 
-    The projected DRE is re-integrated from t = 0 at every tested m (the
+    The projected DRE is re-integrated from t = 0 at every checked m (the
     projected state lives in a different space each time); the residual is
-    tested at the final time only, every check_stride iterations.  Breakdown
-    of the Arnoldi process ends the loop: the returned solution is flagged
-    when the residual passes there (exactly 0 for an invariant subspace).
-    Raises NotConverged, with the last residual, when m_max is hit or the
-    basis breaks down before the residual passes, so every returned factor
-    is certified.
+    tested at the final time only.  When config.h takes more than
+    SCREEN_STEPS steps to t_f, each m is first screened by implicit Euler
+    with SCREEN_STEPS steps, and the configured BDF(p) runs only to confirm:
+    at the first m whose screen residual is within SCREEN_SAFETY * tol, on
+    the nested slices of the basis at m - 1 (walking down while it passes)
+    and then at m; if m fails, every later m gets the configured check.  A
+    screen that raises StepFailure, and the last m, get the configured check
+    directly.  So the returned m is the first one whose configured residual
+    passes whenever the passing orders below the candidate are contiguous,
+    and it is integrated exactly as without the screen.
+
+    Breakdown of the Arnoldi process ends the loop: the returned solution is
+    flagged when the residual passes there (exactly 0 for an invariant
+    subspace).  Raises NotConverged, with the last configured residual, when
+    m_max is hit or the basis breaks down before the residual passes, so
+    every returned factor is certified.  The trace holds one record per
+    integration, in order, except that the returned check's record comes
+    last; the returned basis is cut to the returned m.
 
     sample_times requests factored snapshots X(t) ~ Z_t Z_t^T along the
     converged trajectory, returned in LowRankSolution.samples.
     """
     config.validate()
     handle = factorize(problem.A) if handle is None else handle
+    screen = None
+    if problem.t_f / config.h > SCREEN_STEPS:
+        screen = replace(config, p=1, h=problem.t_f / SCREEN_STEPS)
     trace = []
+    failed = set()   # orders whose configured check failed
     t0 = time.perf_counter()
 
-    for basis, last in krylov_orders(problem, handle, config.m_max, config.check_stride):
-        T_m, B_m, C_m = arnoldi.projected_matrices(basis, problem.B)
-        Y0 = _project_initial(basis, problem.Z0)
+    def check(basis, m, cfg, last=False):
+        """Integrate at order m with cfg and record it: (row, outcome).
+
+        outcome is (basis cut to m, trajectory, estimate, psd factor), or None
+        after a StepFailure, which is raised at the last m.
+        """
+        cut = basis.truncated(m)
+        T_m, B_m, C_m = arnoldi.projected_matrices(cut, problem.B)
+        Y0 = _project_initial(cut, problem.Z0)
         try:
-            traj = integrate(T_m, B_m, C_m, Y0, problem.t_f, config,
-                             sample_times=sample_times)
+            traj = integrate(T_m, B_m, C_m, Y0, problem.t_f, cfg,
+                             sample_times=sample_times if cfg is config else None)
         except StepFailure:
             # A too-small subspace can make a projected step equation
             # unsolvable; a richer basis restores it.  Treat like a failed
             # residual test and keep expanding.
             if last:
                 raise
-            residual, rank = np.inf, 0
+            outcome, residual, rank = None, np.inf, 0
         else:
-            est = residual_estimate(basis, traj.final)
+            est = residual_estimate(cut, traj.final)
             psd = psd_factor(traj.final, config.dtol)
-            residual, rank = est.value, psd[0].shape[1]
-        trace.append(ConvergenceRecord(
-            m=basis.order, residual=residual, rank=rank,
-            matvecs=handle.matvecs, solves=handle.solves,
-            seconds=time.perf_counter() - t0,
-        ))
-        if residual < config.tol:
-            break
-    else:
-        raise NotConverged(basis.order, residual, breakdown=basis.breakdown)
+            outcome, residual, rank = (cut, traj, est, psd), est.value, psd[0].shape[1]
+        row = ConvergenceRecord(
+            m=m, residual=residual, rank=rank, matvecs=handle.matvecs,
+            solves=handle.solves, seconds=time.perf_counter() - t0,
+            screen=cfg is not config, skipped=outcome is None,
+        )
+        trace.append(row)
+        return row, outcome
 
-    sol = extract_factor(basis, traj.final, config.dtol, residual=est, psd=psd)
-    sol.trace = trace
+    def confirm(basis, m, last=False):
+        """The configured check at m: (row, outcome) when it passes, else None."""
+        row, outcome = check(basis, m, config, last)
+        if row.residual < config.tol:
+            return row, outcome
+        failed.add(m)
+        return None
+
+    def walk_down(basis, m):
+        """The lowest order passing the configured check in an unbroken run below m."""
+        lowest = None
+        while m > 1 and m - 1 not in failed:
+            below = confirm(basis, m - 1)
+            if below is None:
+                break
+            lowest, m = below, m - 1
+        return lowest
+
+    for basis, last in krylov_orders(problem, handle, config.m_max):
+        m = basis.order
+        candidate = False
+        if screen is not None and not last:
+            row, outcome = check(basis, m, screen)
+            if outcome is not None:
+                if not row.residual <= SCREEN_SAFETY * config.tol:
+                    continue
+                found = walk_down(basis, m)
+                if found is not None:
+                    break
+                candidate = True
+        found = confirm(basis, m, last)
+        if found is not None:
+            found = walk_down(basis, m) or found
+            break
+        if candidate:
+            # the screen passed too early: check every order from here on
+            screen = None
+    else:
+        raise NotConverged(basis.order, trace[-1].residual, breakdown=basis.breakdown)
+
+    row, (cut, traj, est, psd) = found
+    sol = extract_factor(cut, traj.final, config.dtol, residual=est, psd=psd)
+    sol.trace = [r for r in trace if r is not row] + [row]
     sol.step_stats = traj.step_stats(config.h)
     if sample_times is not None:
-        sol.samples = _factor_samples(basis, traj, config.dtol)
+        sol.samples = _factor_samples(cut, traj, config.dtol)
     return sol
 
 

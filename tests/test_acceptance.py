@@ -173,7 +173,7 @@ def test_criterion_6_oracle_consistency():
 def test_criterion_7_steady_state_trend():
     t0 = time.perf_counter()
     problem = gen_heat1d_fem(400, seed=3, alpha=0.05, dt=7e-5, t_f=50.0)
-    config = SolverConfig(p=2, h=0.025, tol=1e-8, m_max=25, check_stride=3)
+    config = SolverConfig(p=2, h=0.025, tol=1e-8, m_max=25)
     ts = np.arange(0.0, 50.0 + 1e-9, 5.0)
     sol = solve(problem, config, sample_times=ts)
     Zinf = steady_state(problem, tol=1e-10)

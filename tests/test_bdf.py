@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from krylov_dre import bdf, dense, solver
+from krylov_dre import arnoldi, bdf, dense, solver
 from krylov_dre.bdf import bdf_coefficients, integrate, march, step_grid
 from krylov_dre.benchmarks import gen_convdiff2d
 from krylov_dre.errors import MaxIterations, StepFailure, UnsupportedOrder
-from krylov_dre.problem import SolverConfig
+from krylov_dre.problem import SolverConfig, factorize
 
 from conftest import random_stable
 
@@ -290,8 +290,8 @@ def test_retaken_step_counts_failed_attempt(monkeypatch):
     assert failed[0] == "failed" and retake[0] == "solved"
     assert stats["newton_iters"][2] == failed[1] + retake[1] > retake[1]
     assert stats["schur_factorizations"][2] == failed[2] + retake[2] > retake[2]
-    # one solve per step apart from the failed attempt
-    assert len(calls) == len(stats["orders"]) + 1
+    # one solve per step taken, and one for the failed attempt
+    assert len(calls) == len(stats["orders"]) - stats["stationary_steps"] + 1
 
 
 class _FakeStep:
@@ -354,3 +354,80 @@ def test_march_samples_initial_requested_and_final():
     # without requested times only the initial and the final state are kept
     traj = march(_FakeStep(), 0, 1.0, 0.1, 2)
     assert traj.ys == [0, 10]
+
+
+class _SettlingStep:
+    """A step function for march whose iterate stops changing after step settle.
+
+    Step k returns the 2x2 array filled with min(k, settle), with 0 iterations
+    once k > settle and two before.
+    """
+
+    def __init__(self, settle, fail=None):
+        self.settle = settle
+        self.fail = fail or {}
+        self.calls = []
+
+    def __call__(self, order, history):
+        k = len([c for c in self.calls if c[1] == 0]) + 1
+        if (k, order) in self.fail:
+            self.calls.append((k, 1))
+            raise self.fail[k, order]
+        self.calls.append((k, 0))
+        return np.full((2, 2), float(min(k, self.settle))), {
+            "iterations": 0 if k > self.settle else 2, "factorizations": 0,
+            "residual": 1e-14 * min(k, self.settle)}
+
+
+def test_march_stops_at_stationary_tail():
+    step = _SettlingStep(settle=2)
+    traj = march(step, np.zeros((2, 2)), 1.0, 0.1, 2, sample_times=[0.5, 0.7])
+    # step 3 returns step 2's iterate but its history still holds step 1's;
+    # from step 4 on every history iterate equals the result
+    assert [k for k, _ in step.calls] == [1, 2, 3, 4]
+    assert traj.stationary_steps == 6
+    assert traj.orders == [1] + [2] * 9
+    assert traj.newton_iters == [2, 2] + [0] * 8
+    assert traj.care_residuals == [1e-14, 2e-14] + [2e-14] * 8
+    assert traj.schur_factorizations == [0] * 10
+    assert traj.times == pytest.approx([0.0, 0.5, 0.7, 1.0], abs=1e-15)
+    assert all(np.array_equal(Y, np.full((2, 2), 2.0)) for Y in traj.ys[1:])
+    assert len(traj.tail) == 3
+    assert traj.step_stats(0.1)["stationary_steps"] == 6
+
+
+def test_march_stationary_needs_order_p_and_no_retake():
+    # the ramp (order 1 < p) and a step retaken as implicit Euler never end the loop
+    step = _SettlingStep(settle=1)
+    traj = march(step, np.full((2, 2), 1.0), 0.5, 0.1, 3)
+    assert [k for k, _ in step.calls] == [1, 2, 3]
+    assert traj.stationary_steps == 2
+    step = _SettlingStep(settle=1, fail={(2, 2): MaxIterations("no root")})
+    traj = march(step, np.full((2, 2), 1.0), 1.0, 0.1, 2)
+    assert [k for k, _ in step.calls] == [1, 2, 2, 3]
+    assert traj.orders == [1, 1] + [2] * 8
+    assert traj.euler_retakes == 1
+    assert traj.stationary_steps == 7
+
+
+def test_integrate_stationary_skip_is_exact(monkeypatch):
+    # convdiff n0=10 projected at m=6: most BDF(2) steps of the 200 repeat the iterate
+    problem = gen_convdiff2d(10, seed=11, t_f=1.0)
+    handle = factorize(problem.A)
+    basis = arnoldi.seed(handle, problem.C)
+    for _ in range(6):
+        arnoldi.expand(basis, handle)
+    T, B_m, C_m = arnoldi.projected_matrices(basis, problem.B)
+    Y0 = solver._project_initial(basis, problem.Z0)
+    config = SolverConfig(p=2, h=5e-3)
+    times = np.linspace(0.0, 1.0, 11)
+    fast = integrate(T, B_m, C_m, Y0, 1.0, config, sample_times=times)
+    monkeypatch.setattr(bdf, "_same_bits", lambda a, b: False)
+    full = integrate(T, B_m, C_m, Y0, 1.0, config, sample_times=times)
+    assert fast.stationary_steps > 100 and full.stationary_steps == 0
+    stats = fast.step_stats(config.h)
+    stats["stationary_steps"] = 0
+    assert stats == full.step_stats(config.h)
+    assert np.array_equal(fast.times, full.times)
+    assert all(np.array_equal(a, b) for a, b in zip(fast.ys, full.ys))
+    assert all(np.array_equal(a, b) for a, b in zip(fast.tail, full.tail))

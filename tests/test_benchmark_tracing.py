@@ -42,8 +42,7 @@ def test_tracer_installs_and_restores_every_binding():
         assert solver.extract_factor is not before[("krylov_dre.solver", "extract_factor")]
         assert dense.sla is not before[("krylov_dre.dense", "sla")]
         problem = benchmarks.gen_convdiff2d(7, seed=7, t_f=0.5)
-        sol = solver.solve(problem, SolverConfig(p=2, h=1e-2, tol=1e-8, m_max=20,
-                                                 check_stride=2),
+        sol = solver.solve(problem, SolverConfig(p=2, h=1e-2, tol=1e-8, m_max=20),
                            sample_times=[0.0, 0.5])
     after = _bindings()
     assert after.keys() == before.keys()

@@ -68,6 +68,10 @@ def test_convergence_curve_decreases(tmp_path):
     res = [float(r["residual"]) for r in rows]
     assert res[-1] < 1e-9
     assert res[0] > res[-1]
+    # 100 steps: each order is screened first, and the returned check comes last
+    assert list(rows[0])[-2:] == ["screen", "skipped"]
+    assert rows[0]["screen"] == "1" and rows[-1]["screen"] == "0"
+    assert all(r["skipped"] == "0" for r in rows)
     # the step log of the last checked order, as solve writes it
     log = _read_csv(out / "bdf_log.csv")
     assert len(log) == 100
@@ -99,7 +103,7 @@ def test_every_subcommand_and_flag_parses():
         "--alpha", "0.1", "--dt", "0.02", "--mtx-a", "a.mtx", "--mtx-b", "b.mtx",
         "--mtx-c", "c.mtx", "--mtx-z0", "z.mtx", "--tf", "0.5", "--seed", "2",
         "--config", "cfg.txt", "--p", "1", "--h", "0.1", "--tol", "1e-6", "--m-max", "5",
-        "--dtol", "1e-9", "--check-stride", "2", "--care-tol", "1e-9",
+        "--dtol", "1e-9", "--care-tol", "1e-9",
         "--out", "out", "--track", "0,1", "--samples", "3",
     ]
     extra = {"solve": ["--arnoldi-diagnostics"], "compare": ["--methods", "eba"],
@@ -180,13 +184,13 @@ def test_lqr_steady_state_reported_from_a_factor(tmp_path):
 
 def test_every_config_field_set_by_its_flag(tmp_path):
     values = {"p": 1, "h": 2e-3, "tol": 1e-6, "m_max": 17, "dtol": 1e-11,
-              "check_stride": 2, "care_tol": 1e-11}
+              "care_tol": 1e-11}
     assert set(values) == {f.name for f in fields(SolverConfig)}
     out = tmp_path / "flags"
     code = cli_run([
         "solve", "--family", "convdiff2d", "--n0", "4", "--tf", "0.1", "--seed", "3",
         "--p", "1", "--h", "2e-3", "--tol", "1e-6", "--m-max", "17", "--dtol", "1e-11",
-        "--check-stride", "2", "--care-tol", "1e-11", "--out", str(out),
+        "--care-tol", "1e-11", "--out", str(out),
     ])
     assert code == 0
     config = json.loads((out / "manifest.json").read_text())["config"]

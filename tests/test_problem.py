@@ -154,12 +154,12 @@ def test_solver_config_rejects_bad_step_and_tolerances(name, value):
 
 def test_config_from_file(tmp_path):
     path = tmp_path / "solver.cfg"
-    path.write_text("# comment\np = 3\nh = 0.002\ntol = 1e-8\ncheck_stride = 3\n")
+    path.write_text("# comment\np = 3\nh = 0.002\ntol = 1e-8\nm_max = 17\n")
     config = config_from_file(path)
     assert config.p == 3
     assert config.h == pytest.approx(0.002)
     assert config.tol == pytest.approx(1e-8)
-    assert config.check_stride == 3
+    assert config.m_max == 17
 
 
 def test_config_from_file_rejects_unknown_key(tmp_path):

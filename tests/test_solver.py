@@ -3,10 +3,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.stats
 
-from krylov_dre import arnoldi
-from krylov_dre.benchmarks import gen_convdiff2d
-from krylov_dre.bdf import bdf_coefficients
-from krylov_dre.errors import IndefiniteY, NotConverged
+from krylov_dre import arnoldi, solver
+from krylov_dre.benchmarks import gen_convdiff2d, gen_heat1d_fem
+from krylov_dre.bdf import bdf_coefficients, integrate
+from krylov_dre.errors import IndefiniteY, NotConverged, StepFailure
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
 from krylov_dre.solver import extract_factor, krylov_orders, residual_estimate, solve
 
@@ -60,11 +60,11 @@ def _full_space_problem():
     return DREProblem(A=A, B=rng.standard_normal((4, 1)), C=C, Z0=Z0, t_f=0.1)
 
 
-def test_krylov_orders_stride_and_last(convdiff49):
+def test_krylov_orders_yields_every_order_and_last(convdiff49):
     handle = factorize(convdiff49.A)
     seen = [(basis.order, last, basis.breakdown)
-            for basis, last in krylov_orders(convdiff49, handle, m_max=7, stride=3)]
-    assert seen == [(3, False, False), (6, False, False), (7, True, False)]
+            for basis, last in krylov_orders(convdiff49, handle, m_max=3)]
+    assert seen == [(1, False, False), (2, False, False), (3, True, False)]
 
 
 def test_krylov_orders_breakdown_ends_iteration():
@@ -261,3 +261,119 @@ def test_trace_and_step_stats_populated(solved49):
     assert all(r.matvecs > 0 for r in solved49.trace)
     assert solved49.step_stats["orders"][-1] == 2
     assert max(solved49.step_stats["newton_iters"]) <= 10
+
+
+# Screened check schedule: convdiff n0=10 returns m=9 (screen and configured
+# residuals agree to 3 digits), heat1d n=400 returns m=9 (the screen
+# overestimates by up to 4x); both take 200 BDF(2) steps.
+SCREEN_CASES = {
+    "convdiff-n100": (lambda: gen_convdiff2d(10, seed=11, t_f=1.0),
+                      SolverConfig(p=2, h=5e-3, tol=1e-8, m_max=30), None),
+    "heat1d-n400": (lambda: gen_heat1d_fem(400, seed=3, t_f=1.0),
+                    SolverConfig(p=2, h=5e-3, tol=1e-10, m_max=20), np.linspace(0.0, 1.0, 11)),
+}
+
+
+def _unscreened(problem, config, sample_times=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "SCREEN_STEPS", 10**9)
+        return solve(problem, config, sample_times=sample_times)
+
+
+@pytest.fixture(scope="module")
+def screen_cases():
+    cases = {}
+    for name, (make, config, samples) in SCREEN_CASES.items():
+        problem = make()
+        cases[name] = (problem, config, samples, _unscreened(problem, config, samples))
+    return cases
+
+
+def _assert_same_solution(sol, ref):
+    assert (sol.m, sol.rank, sol.residual.value, sol.breakdown) == \
+        (ref.m, ref.rank, ref.residual.value, ref.breakdown)
+    assert np.array_equal(sol.Z, ref.Z)
+    assert np.array_equal(sol.y_final, ref.y_final)
+    assert sol.step_stats == ref.step_stats
+    assert [t for t, _ in sol.samples] == [t for t, _ in ref.samples]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(sol.samples, ref.samples))
+    last = sol.trace[-1]
+    assert (last.m, last.residual, last.rank, last.screen) == (sol.m, sol.residual.value,
+                                                               sol.rank, False)
+    assert sol.basis.order == sol.m
+
+
+def _configured_orders(sol):
+    return [r.m for r in sol.trace if not r.screen]
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+def test_screened_solve_equals_unscreened(screen_cases, name):
+    problem, config, samples, ref = screen_cases[name]
+    assert not any(r.screen for r in ref.trace)
+    assert _configured_orders(ref) == list(range(1, ref.m + 1))
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    # every order screened up to the candidate, confirmed at m - 1 and m
+    assert [r.m for r in sol.trace if r.screen] == list(range(1, sol.m + 1))
+    assert _configured_orders(sol) == [sol.m - 1, sol.m]
+    assert not any(r.skipped for r in sol.trace)
+
+
+def test_early_screen_candidate_walks_up(screen_cases, monkeypatch):
+    problem, config, samples, ref = screen_cases["convdiff-n100"]
+    monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e6)
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    candidate = max(r.m for r in sol.trace if r.screen)
+    assert candidate < sol.m - 1
+    # m - 1 and m fail, then every later order gets the configured check
+    assert _configured_orders(sol) == list(range(candidate - 1, sol.m + 1))
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+def test_late_screen_candidate_walks_down(screen_cases, monkeypatch, name):
+    problem, config, samples, ref = screen_cases[name]
+    monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e-3)
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    candidate = max(r.m for r in sol.trace if r.screen)
+    assert candidate > sol.m + 1
+    # from m - 1 down to the first failure; the returned check's row comes last
+    assert _configured_orders(sol) == \
+        list(range(candidate - 1, sol.m, -1)) + [sol.m - 1, sol.m]
+    # the returned basis is cut to m: the nested slices of the larger one
+    assert sol.basis.basis_matrix().shape[1] == sol.m * sol.basis.w
+    assert np.array_equal(sol.basis.t_square(), ref.basis.t_square())
+    assert np.array_equal(sol.basis.t_coupling(), ref.basis.t_coupling())
+    assert np.array_equal(sol.basis.basis_matrix(), ref.basis.basis_matrix())
+
+
+def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkeypatch):
+    problem, config, samples, ref = screen_cases["convdiff-n100"]
+    w = 2 * problem.s
+
+    def failing_screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None):
+        if cfg is not config and T.shape[0] == 3 * w:
+            raise StepFailure(1, "screen step failed")
+        return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times)
+
+    monkeypatch.setattr(solver, "integrate", failing_screen)
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    rows = [(r.m, r.screen, r.skipped) for r in sol.trace]
+    assert rows[2:5] == [(3, True, True), (3, False, False), (4, True, False)]
+    assert np.isinf(sol.trace[2].residual)
+    assert sol.trace[3].residual == ref.trace[2].residual
+    assert _configured_orders(sol) == [3, sol.m - 1, sol.m]
+
+
+def test_not_converged_reports_configured_residual(screen_cases):
+    problem, config, samples, _ = screen_cases["convdiff-n100"]
+    short = SolverConfig(p=config.p, h=config.h, tol=config.tol, m_max=5)
+    with pytest.raises(NotConverged) as ref:
+        _unscreened(problem, short)
+    with pytest.raises(NotConverged) as info:
+        solve(problem, short)
+    assert info.value.m_max == ref.value.m_max == 5
+    assert info.value.last_residual == ref.value.last_residual
