@@ -54,14 +54,6 @@ class ExtendedKrylovBasis:
         self.T = np.zeros((self.w, 0))
 
     @property
-    def n(self):
-        return self.V.shape[0]
-
-    @property
-    def blocks(self):
-        return self.V.shape[1] // self.w
-
-    @property
     def order(self):
         """Largest m for which T_m (and, unless breakdown, T_{m+1,m}) is available."""
         return self.m + 1 if self.breakdown else self.m
@@ -70,20 +62,16 @@ class ExtendedKrylovBasis:
         """The (j+1)-th basis block, n-by-2s (0-indexed)."""
         return self.V[:, j * self.w : (j + 1) * self.w]
 
-    def basis_matrix(self, m=None):
-        m = self.order if m is None else m
-        return self.V[:, : m * self.w]
+    def basis_matrix(self):
+        return self.V[:, : self.order * self.w]
 
-    def t_square(self, m=None):
-        m = self.order if m is None else m
-        return self.T[: m * self.w, : m * self.w]
+    def t_square(self):
+        k = self.order * self.w
+        return self.T[:k, :k]
 
-    def t_coupling(self, m=None):
+    def t_coupling(self):
         """T_{m+1,m}, the 2s-by-2s coupling block; None after breakdown."""
-        m = self.order if m is None else m
-        if self.breakdown and m >= self.order:
-            return None
-        return self.T[m * self.w : (m + 1) * self.w, (m - 1) * self.w : m * self.w]
+        return None if self.breakdown else self.T[-self.w :, -self.w :]
 
     def truncated(self, m):
         """The basis as it stood after m <= order expansions.
@@ -143,7 +131,7 @@ def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
         cand = cand - basis.V @ (basis.V.T @ cand)
 
     Q, R = np.linalg.qr(cand)
-    nb = basis.blocks
+    k = (j + 1) * w
 
     if np.abs(np.diag(R)).min() <= RANK_RTOL * max(cand_scale, 1e-300):
         # Rank-deficient block: the subspace is (numerically) invariant.  The
@@ -151,8 +139,8 @@ def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
         # A^T V_j outside the span is kept so the residual estimate stays
         # honest even when the deficiency is only partial.
         coef = basis.V.T @ AtVj
-        T = np.zeros((nb * w, nb * w))
-        T[:, : j * w] = basis.T[: nb * w, :]
+        T = np.zeros((k, k))
+        T[:, : j * w] = basis.T
         T[:, j * w :] = coef
         basis.T = T
         perp = AtVj - basis.V @ coef
@@ -163,8 +151,8 @@ def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
         raise Breakdown(f"rank-deficient block at expansion {j + 1}")
 
     basis.V = np.hstack([basis.V, Q])
-    T = np.zeros(((nb + 1) * w, (j + 1) * w))
-    T[: nb * w, : j * w] = basis.T
+    T = np.zeros((k + w, k))
+    T[:k, : j * w] = basis.T
     T[:, j * w :] = basis.V.T @ AtVj
     basis.T = T
     basis.m += 1
@@ -177,49 +165,44 @@ def projected_matrices(basis: ExtendedKrylovBasis, B):
     B_m = V_m^T B is formed by multiplication; C_m = [Lambda11^T, 0] is
     assembled from the seed QR factor, never recomputed as V_m^T C^T.
     """
-    m = basis.order
-    if m < 1:
+    if basis.order < 1:
         raise ValueError("projected_matrices requires at least one expansion")
-    k = m * basis.w
-    T_m = basis.t_square(m).copy()
-    B_m = basis.basis_matrix(m).T @ B
-    C_m = np.zeros((basis.s, k))
+    T_m = basis.t_square().copy()
+    B_m = basis.basis_matrix().T @ B
+    C_m = np.zeros((basis.s, T_m.shape[0]))
     C_m[:, : basis.s] = basis.Lambda11.T
     return T_m, B_m, C_m
 
 
-def orthonormality_deviation(basis: ExtendedKrylovBasis, m=None):
-    """Frobenius norm of V^T V - I over the blocks present after expansion m.
-
-    m defaults to all stored blocks.
-    """
-    V = basis.V if m is None else basis.V[:, : (m + 1) * basis.w]
-    G = V.T @ V
+def orthonormality_deviation(basis: ExtendedKrylovBasis):
+    """Frobenius norm of V^T V - I over all stored blocks."""
+    G = basis.V.T @ basis.V
     return float(np.linalg.norm(G - np.eye(G.shape[0]), "fro"))
 
 
-def relation_residual(basis: ExtendedKrylovBasis, handle, m=None):
+def relation_residual(basis: ExtendedKrylovBasis, handle):
     """Relative deviation of A^T V_m = V_m T_m + V_{m+1} T_{m+1,m} E_m^T.
 
-    m defaults to the current order.  Applies the operator once more per
-    call; intended for diagnostics and tests, not for the solver hot path.
+    m is the current order.  Applies the operator once more per call;
+    intended for diagnostics and tests, not for the solver hot path.
     """
-    m = basis.order if m is None else m
-    V_m = basis.basis_matrix(m)
+    V_m = basis.basis_matrix()
     lhs = handle.apply_t(V_m)
-    rhs = V_m @ basis.t_square(m)
-    T_sub = basis.t_coupling(m)
+    rhs = V_m @ basis.t_square()
+    T_sub = basis.t_coupling()
     if T_sub is not None:
-        rhs[:, -basis.w :] += basis.block(m) @ T_sub
+        rhs[:, -basis.w :] += basis.block(basis.order) @ T_sub
     return float(np.linalg.norm(lhs - rhs, "fro") / max(np.linalg.norm(lhs, "fro"), 1e-300))
 
 
 def diagnostics_history(basis: ExtendedKrylovBasis, handle):
     """One diagnostics row per completed iteration of a finished basis.
 
-    Row m reports the orthonormality deviation of all blocks present after
-    expansion m together with the relation residual at order m.  Costs one
-    extra operator sweep per row; intended for CSV dumps.
+    Row m reports the diagnostics of basis.truncated(m): the orthonormality
+    deviation of all blocks present after expansion m and the relation
+    residual at order m.  Costs one extra operator sweep per row; intended
+    for CSV dumps.
     """
-    return [(m, orthonormality_deviation(basis, m), relation_residual(basis, handle, m))
-            for m in range(1, basis.order + 1)]
+    cuts = map(basis.truncated, range(1, basis.order + 1))
+    return [(cut.order, orthonormality_deviation(cut), relation_residual(cut, handle))
+            for cut in cuts]

@@ -94,7 +94,6 @@ def projected_cost_identity_check(basis, y_final, x0):
 @dataclass
 class SimulationResult:
     times: np.ndarray
-    states: np.ndarray
     outputs_sq: np.ndarray
     inputs_sq: np.ndarray
     cost: float
@@ -123,7 +122,6 @@ def simulate_closed_loop(problem, schedule, x0, h_sim) -> SimulationResult:
             raise ValueError("schedule must cover [0, t_f]")
 
     times = [0.0]
-    states = [x.copy()]
     y = C @ x
     u = np.zeros(B.shape[1]) if schedule is None else schedule.apply(0, x)
     outputs_sq = [float(y @ y)]
@@ -150,7 +148,6 @@ def simulate_closed_loop(problem, schedule, x0, h_sim) -> SimulationResult:
             y = C @ x
             u = np.zeros(B.shape[1]) if K_idx is None else schedule.apply(K_idx, x)
             times.append(t)
-            states.append(x.copy())
             outputs_sq.append(float(y @ y))
             inputs_sq.append(float(u @ u))
 
@@ -158,8 +155,7 @@ def simulate_closed_loop(problem, schedule, x0, h_sim) -> SimulationResult:
     i = np.array(inputs_sq)
     ts = np.array(times)
     cost = float(np.trapezoid(o + i, ts))
-    return SimulationResult(times=ts, states=np.array(states),
-                            outputs_sq=o, inputs_sq=i, cost=cost)
+    return SimulationResult(times=ts, outputs_sq=o, inputs_sq=i, cost=cost)
 
 
 def steady_state(problem, tol=1e-10):

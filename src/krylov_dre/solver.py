@@ -29,7 +29,7 @@ PSD_RTOL = 1e-8
 # Implicit-Euler steps over [0, t_f] of the screen that precedes the
 # configured BDF(p) run at each m.
 SCREEN_STEPS = 20
-# A screen residual within SCREEN_SAFETY * tol makes m the candidate.  On
+# A screen residual within SCREEN_SAFETY * tol ends screening at m.  On
 # convdiff2d the screen matches the configured residual to 3 digits; on
 # heat1d it overestimates it, by up to 4x.
 SCREEN_SAFETY = 4.0
@@ -154,14 +154,17 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     projected state lives in a different space each time); the residual is
     tested at the final time only.  When config.h takes more than
     SCREEN_STEPS steps to t_f, each m is first screened by implicit Euler
-    with SCREEN_STEPS steps, and the configured BDF(p) runs only to confirm:
-    at the first m whose screen residual is within SCREEN_SAFETY * tol, on
-    the nested slices of the basis at m - 1 (walking down while it passes)
-    and then at m; if m fails, every later m gets the configured check.  A
-    screen that raises StepFailure, and the last m, get the configured check
-    directly.  So the returned m is the first one whose configured residual
-    passes whenever the passing orders below the candidate are contiguous,
-    and it is integrated exactly as without the screen.
+    with SCREEN_STEPS steps, and the configured BDF(p) runs only to certify.
+    The first m whose screen residual is within SCREEN_SAFETY * tol ends
+    screening: the configured check runs at m - 1 on the nested slices of
+    the basis (basis.truncated), and at m only if m - 1 fails; every later m
+    gets the configured check.  A screen that raises StepFailure, and the
+    last m, get the configured check directly.  Each order has at most one
+    screen and at most one configured check, and the result is the lowest
+    order of the passing run, walking down from the first pass.  So the
+    returned m is the first one whose configured residual passes whenever
+    the passing orders below the screen's pick are contiguous, and it is
+    integrated exactly as without the screen.
 
     Breakdown of the Arnoldi process ends the loop: the returned solution is
     flagged when the residual passes there (exactly 0 for an invariant
@@ -180,10 +183,10 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     if problem.t_f / config.h > SCREEN_STEPS:
         screen = replace(config, p=1, h=problem.t_f / SCREEN_STEPS)
     trace = []
-    failed = set()   # orders whose configured check failed
+    configured = {}   # order -> (row, outcome) of its configured check
     t0 = time.perf_counter()
 
-    def check(basis, m, cfg, last=False):
+    def check(m, cfg, last=False):
         """Integrate at order m with cfg and record it: (row, outcome).
 
         outcome is (basis cut to m, trajectory, estimate, psd factor), or None
@@ -197,8 +200,8 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
                              sample_times=sample_times if cfg is config else None)
         except StepFailure:
             # A too-small subspace can make a projected step equation
-            # unsolvable; a richer basis restores it.  Treat like a failed
-            # residual test and keep expanding.
+            # unsolvable; a richer basis restores it.  Treat like a residual
+            # test that does not pass and keep expanding.
             if last:
                 raise
             outcome, residual, rank = None, np.inf, 0
@@ -214,43 +217,33 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
         trace.append(row)
         return row, outcome
 
-    def confirm(basis, m, last=False):
-        """The configured check at m: (row, outcome) when it passes, else None."""
-        row, outcome = check(basis, m, config, last)
-        if row.residual < config.tol:
-            return row, outcome
-        failed.add(m)
-        return None
+    def passes(m, last=False):
+        """Whether the configured check at m passes; each order runs it once."""
+        if m not in configured:
+            configured[m] = check(m, config, last)
+        return configured[m][0].residual < config.tol
 
-    def walk_down(basis, m):
-        """The lowest order passing the configured check in an unbroken run below m."""
-        lowest = None
-        while m > 1 and m - 1 not in failed:
-            below = confirm(basis, m - 1)
-            if below is None:
-                break
-            lowest, m = below, m - 1
-        return lowest
+    def lowest(m):
+        """The configured check of the lowest order in the passing run down from m."""
+        while m > 1 and passes(m - 1):
+            m -= 1
+        return configured[m]
 
     for basis, last in krylov_orders(problem, handle, config.m_max):
         m = basis.order
-        candidate = False
         if screen is not None and not last:
-            row, outcome = check(basis, m, screen)
+            row, outcome = check(m, screen)
             if outcome is not None:
                 if not row.residual <= SCREEN_SAFETY * config.tol:
                     continue
-                found = walk_down(basis, m)
-                if found is not None:
+                # the first passing screen ends screening, whatever m's check gives
+                screen = None
+                if m > 1 and passes(m - 1):
+                    found = lowest(m - 1)
                     break
-                candidate = True
-        found = confirm(basis, m, last)
-        if found is not None:
-            found = walk_down(basis, m) or found
+        if passes(m, last):
+            found = lowest(m)
             break
-        if candidate:
-            # the screen passed too early: check every order from here on
-            screen = None
     else:
         raise NotConverged(basis.order, trace[-1].residual, breakdown=basis.breakdown)
 

@@ -91,9 +91,9 @@ def test_subspace_nesting_append_only():
     problem, handle = _cd49()
     basis = arnoldi.seed(handle, problem.C)
     arnoldi.expand(basis, handle)
-    V_before = basis.basis_matrix(1).copy()
+    V_before = basis.truncated(1).basis_matrix().copy()
     arnoldi.expand(basis, handle)
-    assert np.array_equal(basis.basis_matrix(1), V_before)
+    assert np.array_equal(basis.truncated(1).basis_matrix(), V_before)
 
 
 def test_projected_matrix_is_galerkin_compression():
@@ -103,7 +103,7 @@ def test_projected_matrix_is_galerkin_compression():
     basis = arnoldi.seed(handle, C)
     arnoldi.expand(basis, handle)
     T1, B1, C1 = arnoldi.projected_matrices(basis, rng.standard_normal((8, 3)))
-    V1 = basis.basis_matrix(1)
+    V1 = basis.truncated(1).basis_matrix()
     A = np.diag(np.linspace(1.0, 2.0, 8))
     assert np.allclose(T1, V1.T @ A.T @ V1, atol=1e-12)
 
@@ -136,6 +136,21 @@ def test_diagnostics_history(convdiff49):
     basis = arnoldi.seed(handle, convdiff49.C)
     for _ in range(4):
         arnoldi.expand(basis, handle)
+    rows = arnoldi.diagnostics_history(basis, handle)
+    assert [r[0] for r in rows] == [1, 2, 3, 4]
+    assert all(r[1] <= 1e-10 and r[2] <= 1e-10 for r in rows)
+
+
+def test_diagnostics_history_after_breakdown():
+    # n = 16 = 4 blocks of 2s = 4 columns: expansion 4 finds the space full
+    problem = gen_convdiff2d(4, seed=1)
+    handle = factorize(problem.A)
+    basis = arnoldi.seed(handle, problem.C)
+    with pytest.raises(Breakdown):
+        for _ in range(5):
+            arnoldi.expand(basis, handle)
+    assert basis.breakdown and basis.order == 4
+    assert basis.truncated(basis.order) is basis
     rows = arnoldi.diagnostics_history(basis, handle)
     assert [r[0] for r in rows] == [1, 2, 3, 4]
     assert all(r[1] <= 1e-10 and r[2] <= 1e-10 for r in rows)

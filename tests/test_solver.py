@@ -349,12 +349,23 @@ def test_late_screen_candidate_walks_down(screen_cases, monkeypatch, name):
     assert np.array_equal(sol.basis.basis_matrix(), ref.basis.basis_matrix())
 
 
-def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkeypatch):
+# (SCREEN_SAFETY, order whose screen fails, the row after its configured
+# check, last screened order, configured orders): at 3 the configured check
+# fails and screening goes on; at 11 it passes and the walk down configures
+# orders no screen has confirmed.
+@pytest.mark.parametrize("safety, failing, following, screened, configured", [
+    (solver.SCREEN_SAFETY, 3, (4, True, False), 9, [3, 8, 9]),
+    (1e-3, 11, (10, False, False), 11, [11, 10, 8, 9]),
+], ids=["configured-fails", "configured-passes"])
+def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkeypatch, safety,
+                                                            failing, following, screened,
+                                                            configured):
     problem, config, samples, ref = screen_cases["convdiff-n100"]
     w = 2 * problem.s
+    monkeypatch.setattr(solver, "SCREEN_SAFETY", safety)
 
     def failing_screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None):
-        if cfg is not config and T.shape[0] == 3 * w:
+        if cfg is not config and T.shape[0] == failing * w:
             raise StepFailure(1, "screen step failed")
         return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times)
 
@@ -362,10 +373,14 @@ def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkey
     sol = solve(problem, config, sample_times=samples)
     _assert_same_solution(sol, ref)
     rows = [(r.m, r.screen, r.skipped) for r in sol.trace]
-    assert rows[2:5] == [(3, True, True), (3, False, False), (4, True, False)]
-    assert np.isinf(sol.trace[2].residual)
-    assert sol.trace[3].residual == ref.trace[2].residual
-    assert _configured_orders(sol) == [3, sol.m - 1, sol.m]
+    assert rows[failing - 1:failing + 2] == [(failing, True, True), (failing, False, False),
+                                             following]
+    assert np.isinf(sol.trace[failing - 1].residual)
+    assert [r.m for r in sol.trace if r.screen] == list(range(1, screened + 1))
+    assert _configured_orders(sol) == configured
+    unscreened = {r.m: r.residual for r in ref.trace}
+    assert all(r.residual == unscreened[r.m] for r in sol.trace
+               if not r.screen and r.m in unscreened)
 
 
 def test_not_converged_reports_configured_residual(screen_cases):
