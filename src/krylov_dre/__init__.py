@@ -9,6 +9,6 @@ round out the package.
 
 __version__ = "0.1.0"
 
-from .problem import DREProblem, SolverConfig, factorize, validate  # noqa: F401
+from .problem import DREProblem, SolverConfig, factorize  # noqa: F401
 from .solver import solve  # noqa: F401
 from .baseline import solve_baseline  # noqa: F401

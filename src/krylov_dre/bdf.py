@@ -171,9 +171,15 @@ def _same_bits(a, b):
             and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
-def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTrajectory:
+def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None,
+              starts=None) -> ProjectedTrajectory:
     """BDF(p) integration of the projected DRE from Y0 to t_f by march.
 
+    Step k's CARE Newton starts from the last iterate, except that starts
+    (e.g. a smaller nested projection's iterates at steps 1, 2, ...) give
+    the starts of steps 1..len(starts), padded with zeros to the order of
+    T; such a step takes at least one iteration, so the rows the padding
+    left 0 are solved for even when the start already passes the stop test.
     CARE failures end as StepFailure with the step index.
     """
     config.validate()
@@ -187,7 +193,7 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTraje
     terms = {}
     factors = {}
 
-    def take_step(order, history):
+    def take_step(order, history, x_start=None):
         if order not in terms:
             coeffs = bdf_coefficients(order)
             hb = h * coeffs.beta
@@ -200,10 +206,27 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None) -> ProjectedTraje
         # across a stiff transient can have non-stabilizing (or slightly
         # indefinite) roots that the strict stabilizing iteration cannot reach.
         # A failed attempt's factor is dropped with it.
-        Y, info = care_local_root(A, B, symmetrize(q), x_start=history[0],
-                                  tol=config.care_tol, factor=factors.get(order))
+        forced = x_start is not None
+        Y, info = care_local_root(A, B, symmetrize(q),
+                                  x_start=x_start if forced else history[0],
+                                  tol=config.care_tol, factor=factors.get(order),
+                                  forced=forced)
         factors[order] = info["factor"]
         return Y, info
 
-    return march(take_step, symmetrize(np.asarray(Y0, dtype=float)), t_f, h, config.p,
-                 sample_times)
+    Y0 = symmetrize(np.asarray(Y0, dtype=float))
+    step = take_step
+    if starts:
+        padded = [np.pad(Y, (0, T.shape[0] - Y.shape[0])) for Y in starts]
+        # the iterate each step so far started from; a retake starts from
+        # the same one as its failed attempt
+        froms = [None]
+
+        def step(order, history):
+            if history[0] is not froms[-1]:
+                froms.append(history[0])
+            if len(froms) - 1 <= len(padded):
+                return take_step(order, history, padded[len(froms) - 2])
+            return take_step(order, history)
+
+    return march(step, Y0, t_f, h, config.p, sample_times)

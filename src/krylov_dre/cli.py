@@ -122,16 +122,22 @@ _BDF_LOG = (("orders", "order"), ("newton_iters", "newton_iterations"),
 def cmd_solve(args, out, problem, config):
     sample_times = np.linspace(0.0, problem.t_f, args.samples) if args.samples > 1 else None
     t0 = time.perf_counter()
-    sol = SOLVERS[args.command](problem, config, sample_times=sample_times)
-    wall = time.perf_counter() - t0
+    kwargs = {"sample_times": sample_times}
     if getattr(args, "arnoldi_diagnostics", False):
+        # the diagnostics reuse the solve's factorization
+        kwargs["handle"] = factorize(problem.A)
+    sol = SOLVERS[args.command](problem, config, **kwargs)
+    wall = time.perf_counter() - t0
+    if "handle" in kwargs:
         _write_csv(out / "eba_diagnostics.csv",
                    ["m", "orthonormality_deviation", "relation_residual"],
-                   _arnoldi.diagnostics_history(sol.basis, factorize(problem.A)))
+                   _arnoldi.diagnostics_history(sol.basis, kwargs["handle"]))
     _write_csv(out / "convergence.csv",
-               ["m", "residual", "rank", "matvecs", "solves", "seconds", "screen", "skipped"],
+               ["m", "residual", "rank", "matvecs", "solves", "seconds", "screen", "skipped",
+                "integrate_s", "schur_factorizations", "euler_retakes", "stationary_steps"],
                [(r.m, r.residual, r.rank, r.matvecs, r.solves, r.seconds,
-                 int(r.screen), int(r.skipped)) for r in sol.trace])
+                 int(r.screen), int(r.skipped), r.integrate_s, r.schur_factorizations,
+                 r.euler_retakes, r.stationary_steps) for r in sol.trace])
     _write_csv(out / "solution.csv",
                ["method", "m", "rank", "residual", "converged", "breakdown", "seconds"],
                [(sol.method, sol.m, sol.rank,
@@ -213,14 +219,15 @@ def cmd_lqr(args, out, problem, config):
     x0 = rng.standard_normal(problem.n)
     n_samp = args.samples if args.samples > 1 else 51
     sample_times = np.linspace(0.0, problem.t_f, n_samp)
-    sol = solve(problem, config, sample_times=sample_times)
+    handle = factorize(problem.A)
+    sol = solve(problem, config, sample_times=sample_times, handle=handle)
     sched = gain_schedule(sol.samples, problem.B, problem.t_f)
     rows = [("riccati_factor", optimal_cost(sol, x0).value)]
     if args.simulate:
         sim = simulate_closed_loop(problem, sched, x0, args.h_sim)
         rows.append(("closed_loop_simulation", sim.cost))
     rows.append(("steady_state_quadratic",
-                 optimal_cost(steady_state(problem, tol=config.tol), x0).value))
+                 optimal_cost(steady_state(problem, tol=config.tol, handle=handle), x0).value))
     _write_csv(out / "cost.csv", ["quantity", "value"], rows)
     if problem.n <= DENSE_GAIN_MAX_N:
         _write_csv(out / "gains.csv",

@@ -200,7 +200,7 @@ def solve_care(A, B, Q, x_init=None, tol=1e-12):
     return X
 
 
-def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None):
+def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None, forced=False):
     """Damped Newton for the CARE root nearest a warm start.
 
     Each step solves the Kleinman Lyapunov equation in delta form and
@@ -219,7 +219,10 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None):
     CHORD_REFRESH-fold, the factor is refreshed at the current iterate and
     the damped Newton step is taken, after which chord steps use the new
     factor.  Without a factor every iteration is a damped Newton step.  The
-    stop test is the true relative residual in both cases.  X and every
+    stop test is the true relative residual in both cases.  forced makes the
+    first iteration run even at a start that already passes the stop test;
+    that iteration keeps any step after which the test still passes, so a
+    start at roundoff level is corrected, not reported as a stall.  X and every
     delta are exactly symmetric, and so is each iterate.  Returns (X, info):
     info holds the relative residual, the iterations (chord steps included),
     the Schur factorizations made and the last factor, for the next call; a
@@ -243,7 +246,8 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None):
     chord = chord_mode = factor is not None
     R, r, den, BtX = state(X)
     iters = factorizations = 0
-    while r > tol * den:
+    while r > tol * den or forced:
+        settled, forced = forced and r <= tol * den, False
         if iters >= CARE_MAXIT:
             raise MaxIterations(
                 f"damped CARE Newton: residual {r / den:.3e} after {CARE_MAXIT} steps",
@@ -270,7 +274,8 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None):
         while True:
             Xt = X + t * delta
             Rt, rt, den_t, BtXt = state(Xt)
-            if rt <= (1.0 - 1e-4 * t) * r and np.all(np.isfinite(Rt)):
+            if ((rt <= (1.0 - 1e-4 * t) * r or settled and rt <= tol * den_t)
+                    and np.all(np.isfinite(Rt))):
                 break
             t *= 0.5
             if t < 2.0 ** -16:

@@ -158,7 +158,7 @@ def simulate_closed_loop(problem, schedule, x0, h_sim) -> SimulationResult:
     return SimulationResult(times=ts, outputs_sq=o, inputs_sq=i, cost=cost)
 
 
-def steady_state(problem, tol=1e-10):
+def steady_state(problem, tol=1e-10, handle=None):
     """Infinite-horizon solution of A^T X + X A - X BB^T X + C^T C = 0.
 
     Dense Newton-Kleinman for n <= 200; beyond that, Galerkin projection on
@@ -167,7 +167,8 @@ def steady_state(problem, tol=1e-10):
     coupling-block residual as the stop test.  Returns a factor Z with
     X ~ Z Z^T, truncated at STEADY_DTOL, in both cases.  Raises
     NotConverged when STEADY_M_MAX is hit or the basis breaks down before the
-    residual passes.
+    residual passes.  handle is the factorization of A when the caller has
+    it already, as for solve.
     """
     n = problem.n
     B, C = problem.B, problem.C
@@ -178,7 +179,8 @@ def steady_state(problem, tol=1e-10):
 
     y_prev = None
     res = np.inf
-    for basis, _ in krylov_orders(problem, factorize(problem.A), STEADY_M_MAX):
+    handle = factorize(problem.A) if handle is None else handle
+    for basis, _ in krylov_orders(problem, handle, STEADY_M_MAX):
         T_m, B_m, C_m = arnoldi.projected_matrices(basis, B)
         k = T_m.shape[0]
         warm = None

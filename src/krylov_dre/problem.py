@@ -9,7 +9,7 @@ on [0, T_f], with A n-by-n nonsingular, B n-by-ell, C s-by-n and ell, s << n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -76,17 +76,6 @@ class SolverConfig:
         return self
 
 
-@dataclass
-class ValidationReport:
-    valid: bool
-    n: int
-    ell: int
-    s: int
-    rank_b: int
-    rank_c: int
-    issues: list = field(default_factory=list)
-
-
 class OperatorHandle:
     """Actions of A^T and A^{-T} on n-by-k blocks, with op counters.
 
@@ -136,46 +125,6 @@ def factorize(A) -> OperatorHandle:
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A must be square, got {A.shape}")
     return OperatorHandle(A)
-
-
-def validate(problem: DREProblem) -> ValidationReport:
-    """Check dimensions, full rank of B and C, and factorizability of A.
-
-    Shape inconsistencies raise DimensionMismatch and a singular A raises
-    SingularA; rank deficiencies of B or C are reported, not raised.
-    """
-    A, B, C, Z0 = problem.A, problem.B, problem.C, problem.Z0
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
-    n = A.shape[0]
-    if B.ndim != 2 or B.shape[0] != n:
-        raise DimensionMismatch(f"B must be {n}-by-ell, got {B.shape}")
-    if C.ndim != 2 or C.shape[1] != n:
-        raise DimensionMismatch(f"C must be s-by-{n}, got {C.shape}")
-    if Z0.ndim != 2 or Z0.shape[0] != n:
-        raise DimensionMismatch(f"Z0 must be {n}-by-r0, got {Z0.shape}")
-    if problem.t_f < 0:
-        raise DimensionMismatch("t_f must be nonnegative")
-
-    issues = []
-    rank_b = int(np.linalg.matrix_rank(B))
-    rank_c = int(np.linalg.matrix_rank(C))
-    if rank_b < B.shape[1]:
-        issues.append(f"B is rank deficient: rank {rank_b} < {B.shape[1]} columns")
-    if rank_c < C.shape[0]:
-        issues.append(f"C is rank deficient: rank {rank_c} < {C.shape[0]} rows")
-
-    factorize(A)  # raises SingularA on failure
-
-    return ValidationReport(
-        valid=not issues,
-        n=n,
-        ell=B.shape[1],
-        s=C.shape[0],
-        rank_b=rank_b,
-        rank_c=rank_c,
-        issues=issues,
-    )
 
 
 def config_from_file(path) -> SolverConfig:

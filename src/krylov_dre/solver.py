@@ -29,6 +29,10 @@ PSD_RTOL = 1e-8
 # Implicit-Euler steps over [0, t_f] of the screen that precedes the
 # configured BDF(p) run at each m.
 SCREEN_STEPS = 20
+# A screen's first WARM_STEPS steps start their CARE from the previous
+# order's screen iterates at the same steps.  Warming later steps too costs
+# more: the forced iteration of a warm step cancels the stationary-tail skip.
+WARM_STEPS = 2
 # A screen residual within SCREEN_SAFETY * tol ends screening at m.  On
 # convdiff2d the screen matches the configured residual to 3 digits; on
 # heat1d it overestimates it, by up to 4x.
@@ -47,6 +51,9 @@ class ConvergenceRecord:
     """One integration at order m: the screen's or the configured one.
 
     skipped marks an integration that raised StepFailure (residual inf).
+    integrate_s is the integration's wall time; schur_factorizations (failed
+    BDF(p) attempts included), euler_retakes and stationary_steps are its
+    trajectory's totals, 0 when it was skipped.
     """
 
     m: int
@@ -57,6 +64,10 @@ class ConvergenceRecord:
     seconds: float
     screen: bool = False
     skipped: bool = False
+    integrate_s: float = 0.0
+    schur_factorizations: int = 0
+    euler_retakes: int = 0
+    stationary_steps: int = 0
 
 
 @dataclass
@@ -155,16 +166,17 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     tested at the final time only.  When config.h takes more than
     SCREEN_STEPS steps to t_f, each m is first screened by implicit Euler
     with SCREEN_STEPS steps, and the configured BDF(p) runs only to certify.
-    The first m whose screen residual is within SCREEN_SAFETY * tol ends
-    screening: the configured check runs at m - 1 on the nested slices of
-    the basis (basis.truncated), and at m only if m - 1 fails; every later m
-    gets the configured check.  A screen that raises StepFailure, and the
-    last m, get the configured check directly.  Each order has at most one
-    screen and at most one configured check, and the result is the lowest
-    order of the passing run, walking down from the first pass.  So the
-    returned m is the first one whose configured residual passes whenever
-    the passing orders below the screen's pick are contiguous, and it is
-    integrated exactly as without the screen.
+    The spaces are nested, so a screen's first WARM_STEPS steps start their
+    CARE from the previous order's screen iterates padded with zeros;
+    configured runs always start from their own history.  The first m whose
+    screen residual is within SCREEN_SAFETY * tol ends screening and gets
+    the configured check, as does every later m, a screen that raises
+    StepFailure and the last m.  Each order has at most one screen and at
+    most one configured check, on the nested slices of the basis
+    (basis.truncated), and the result is the lowest order of the passing
+    run, walking down from the first pass.  So the returned m is the first
+    one whose configured residual passes whenever the passing orders are
+    contiguous, and it is integrated exactly as without the screen.
 
     Breakdown of the Arnoldi process ends the loop: the returned solution is
     flagged when the residual passes there (exactly 0 for an invariant
@@ -182,6 +194,8 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     screen = None
     if problem.t_f / config.h > SCREEN_STEPS:
         screen = replace(config, p=1, h=problem.t_f / SCREEN_STEPS)
+        warm_times = screen.h * np.arange(1, WARM_STEPS + 1)
+    starts = None     # the last screen's iterates at steps 1..WARM_STEPS
     trace = []
     configured = {}   # order -> (row, outcome) of its configured check
     t0 = time.perf_counter()
@@ -195,24 +209,33 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
         cut = basis.truncated(m)
         T_m, B_m, C_m = arnoldi.projected_matrices(cut, problem.B)
         Y0 = _project_initial(cut, problem.Z0)
+        screening = cfg is not config
+        t_int = time.perf_counter()
         try:
             traj = integrate(T_m, B_m, C_m, Y0, problem.t_f, cfg,
-                             sample_times=sample_times if cfg is config else None)
+                             sample_times=warm_times if screening else sample_times,
+                             starts=starts if screening else None)
         except StepFailure:
             # A too-small subspace can make a projected step equation
             # unsolvable; a richer basis restores it.  Treat like a residual
             # test that does not pass and keep expanding.
             if last:
                 raise
-            outcome, residual, rank = None, np.inf, 0
+            traj = None
+        integrate_s = time.perf_counter() - t_int
+        if traj is None:
+            outcome, residual, rank, stats = None, np.inf, 0, (0, 0, 0)
         else:
             est = residual_estimate(cut, traj.final)
             psd = psd_factor(traj.final, config.dtol)
             outcome, residual, rank = (cut, traj, est, psd), est.value, psd[0].shape[1]
+            stats = (sum(traj.schur_factorizations), traj.euler_retakes,
+                     traj.stationary_steps)
         row = ConvergenceRecord(
             m=m, residual=residual, rank=rank, matvecs=handle.matvecs,
-            solves=handle.solves, seconds=time.perf_counter() - t0,
-            screen=cfg is not config, skipped=outcome is None,
+            solves=handle.solves, seconds=time.perf_counter() - t0, screen=screening,
+            skipped=outcome is None, integrate_s=integrate_s, schur_factorizations=stats[0],
+            euler_retakes=stats[1], stationary_steps=stats[2],
         )
         trace.append(row)
         return row, outcome
@@ -233,14 +256,13 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
         m = basis.order
         if screen is not None and not last:
             row, outcome = check(m, screen)
+            starts = None
             if outcome is not None:
+                starts = outcome[1].ys[1:WARM_STEPS + 1]
                 if not row.residual <= SCREEN_SAFETY * config.tol:
                     continue
                 # the first passing screen ends screening, whatever m's check gives
                 screen = None
-                if m > 1 and passes(m - 1):
-                    found = lowest(m - 1)
-                    break
         if passes(m, last):
             found = lowest(m)
             break

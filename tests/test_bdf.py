@@ -264,7 +264,8 @@ def test_bdf_step_chord_matches_newton():
 
 
 def test_retaken_step_counts_failed_attempt(monkeypatch):
-    # this problem's last checked order (m=9) retakes BDF(2) step 3 as implicit Euler
+    # this problem's returned order (m=9) retakes BDF(2) step 3 as implicit Euler
+    runs = {}    # (k, p) of each integration -> its CARE calls
     calls = []
 
     def recording(*args, **kwargs):
@@ -276,15 +277,18 @@ def test_retaken_step_counts_failed_attempt(monkeypatch):
         calls.append(("solved", info["iterations"], info["factorizations"]))
         return Y, info
 
-    def last_integration(*args, **kwargs):
+    def recorded_integration(T, B_m, C_m, Y0, t_f, config, **kwargs):
         calls.clear()
-        return integrate(*args, **kwargs)
+        traj = integrate(T, B_m, C_m, Y0, t_f, config, **kwargs)
+        runs[T.shape[0], config.p] = list(calls)
+        return traj
 
     monkeypatch.setattr(bdf, "care_local_root", recording)
-    monkeypatch.setattr(solver, "integrate", last_integration)
+    monkeypatch.setattr(solver, "integrate", recorded_integration)
     problem = gen_convdiff2d(10, seed=11, t_f=1.0)
     sol = solver.solve(problem, SolverConfig(p=2, h=5e-3, tol=1e-8, m_max=30))
     stats = sol.step_stats
+    calls = runs[sol.basis.basis_matrix().shape[1], 2]
     assert sol.m == 9 and stats["euler_retakes"] == 1 and stats["orders"][:4] == [1, 2, 1, 2]
     failed, retake = calls[2], calls[3]
     assert failed[0] == "failed" and retake[0] == "solved"
@@ -431,3 +435,32 @@ def test_integrate_stationary_skip_is_exact(monkeypatch):
     assert np.array_equal(fast.times, full.times)
     assert all(np.array_equal(a, b) for a, b in zip(fast.ys, full.ys))
     assert all(np.array_equal(a, b) for a, b in zip(fast.tail, full.tail))
+
+
+def test_integrate_warm_starts_first_steps():
+    # convdiff n0=10: order 8's implicit-Euler iterates at steps 1-2, padded
+    # with zeros, start order 9's steps 1-2; each of those takes an iteration
+    problem = gen_convdiff2d(10, seed=11, t_f=1.0)
+    handle = factorize(problem.A)
+    basis = arnoldi.seed(handle, problem.C)
+    for _ in range(9):
+        arnoldi.expand(basis, handle)
+    config = SolverConfig(p=1, h=0.05)
+    coarse, fine = basis.truncated(8), basis
+    prev = integrate(*arnoldi.projected_matrices(coarse, problem.B),
+                     solver._project_initial(coarse, problem.Z0), 1.0, config,
+                     sample_times=[0.05, 0.1])
+    T, B_m, C_m = arnoldi.projected_matrices(fine, problem.B)
+    Y0 = solver._project_initial(fine, problem.Z0)
+    cold = integrate(T, B_m, C_m, Y0, 1.0, config)
+    warm = integrate(T, B_m, C_m, Y0, 1.0, config, starts=prev.ys[1:3])
+    assert warm.newton_iters[0] >= 1 and warm.newton_iters[1] >= 1
+    assert sum(warm.schur_factorizations[:2]) < sum(cold.schur_factorizations[:2])
+    assert np.linalg.norm(warm.final - cold.final) <= 1e-9 * np.linalg.norm(cold.final)
+    # the new block's rows are solved for, not left at the padding's zeros
+    assert np.linalg.norm(warm.final[-basis.w:]) == pytest.approx(
+        np.linalg.norm(cold.final[-basis.w:]), rel=1e-6)
+    # no starts, or an empty list, is the cold integration bit for bit
+    none = integrate(T, B_m, C_m, Y0, 1.0, config, starts=[])
+    assert none.step_stats(config.h) == cold.step_stats(config.h)
+    assert np.array_equal(none.final, cold.final)

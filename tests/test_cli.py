@@ -69,11 +69,16 @@ def test_convergence_curve_decreases(tmp_path):
     assert res[-1] < 1e-9
     assert res[0] > res[-1]
     # 100 steps: each order is screened first, and the returned check comes last
-    assert list(rows[0])[-2:] == ["screen", "skipped"]
+    assert list(rows[0])[-6:] == ["screen", "skipped", "integrate_s", "schur_factorizations",
+                                  "euler_retakes", "stationary_steps"]
     assert rows[0]["screen"] == "1" and rows[-1]["screen"] == "0"
     assert all(r["skipped"] == "0" for r in rows)
-    # the step log of the last checked order, as solve writes it
+    # the returned check's totals are those of the step log
     log = _read_csv(out / "bdf_log.csv")
+    assert int(rows[-1]["schur_factorizations"]) == \
+        sum(int(r["schur_factorizations"]) for r in log)
+    assert 0.0 < float(rows[-1]["integrate_s"]) <= float(rows[-1]["seconds"])
+    # the step log of the last checked order, as solve writes it
     assert len(log) == 100
     assert list(log[0]) == ["k", "t", "order", "newton_iterations", "schur_factorizations",
                             "care_residual"]

@@ -193,6 +193,17 @@ def _care_5x5():
     return A, B, C.T @ C
 
 
+def test_care_local_root_forced_iteration_at_a_root():
+    # a start that already passes the stop test (the root, to roundoff)
+    # takes one iteration when forced, and the test still passes after it
+    A, B, Q = _care_5x5()
+    X_root, info = care_local_root(A, B, Q, x_start=solve_care(A, B, Q, tol=1e-15))
+    assert info["iterations"] == 0
+    X, forced = care_local_root(A, B, Q, x_start=X_root, forced=True)
+    assert forced["iterations"] == 1 and forced["residual"] <= 1e-12
+    assert np.allclose(X, X_root, rtol=0.0, atol=1e-12 * np.abs(X_root).max())
+
+
 def test_care_local_root_stale_factor_same_root():
     A, B, Q = _care_5x5()
     X_root = solve_care(A, B, Q)

@@ -314,7 +314,8 @@ def test_screened_solve_equals_unscreened(screen_cases, name):
     assert _configured_orders(ref) == list(range(1, ref.m + 1))
     sol = solve(problem, config, sample_times=samples)
     _assert_same_solution(sol, ref)
-    # every order screened up to the candidate, confirmed at m - 1 and m
+    # every order screened up to the candidate m, which passes; the walk
+    # down fails at m - 1, and the returned row comes last
     assert [r.m for r in sol.trace if r.screen] == list(range(1, sol.m + 1))
     assert _configured_orders(sol) == [sol.m - 1, sol.m]
     assert not any(r.skipped for r in sol.trace)
@@ -327,8 +328,8 @@ def test_early_screen_candidate_walks_up(screen_cases, monkeypatch):
     _assert_same_solution(sol, ref)
     candidate = max(r.m for r in sol.trace if r.screen)
     assert candidate < sol.m - 1
-    # m - 1 and m fail, then every later order gets the configured check
-    assert _configured_orders(sol) == list(range(candidate - 1, sol.m + 1))
+    # the candidate fails, then every later order gets the configured check
+    assert _configured_orders(sol) == list(range(candidate, sol.m + 1))
 
 
 @pytest.mark.parametrize("name", sorted(SCREEN_CASES))
@@ -339,9 +340,9 @@ def test_late_screen_candidate_walks_down(screen_cases, monkeypatch, name):
     _assert_same_solution(sol, ref)
     candidate = max(r.m for r in sol.trace if r.screen)
     assert candidate > sol.m + 1
-    # from m - 1 down to the first failure; the returned check's row comes last
+    # from the candidate down to the first failure; the returned row comes last
     assert _configured_orders(sol) == \
-        list(range(candidate - 1, sol.m, -1)) + [sol.m - 1, sol.m]
+        list(range(candidate, sol.m, -1)) + [sol.m - 1, sol.m]
     # the returned basis is cut to m: the nested slices of the larger one
     assert sol.basis.basis_matrix().shape[1] == sol.m * sol.basis.w
     assert np.array_equal(sol.basis.t_square(), ref.basis.t_square())
@@ -364,10 +365,10 @@ def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkey
     w = 2 * problem.s
     monkeypatch.setattr(solver, "SCREEN_SAFETY", safety)
 
-    def failing_screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None):
+    def failing_screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None, starts=None):
         if cfg is not config and T.shape[0] == failing * w:
             raise StepFailure(1, "screen step failed")
-        return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times)
+        return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times, starts=starts)
 
     monkeypatch.setattr(solver, "integrate", failing_screen)
     sol = solve(problem, config, sample_times=samples)
@@ -392,3 +393,64 @@ def test_not_converged_reports_configured_residual(screen_cases):
         solve(problem, short)
     assert info.value.m_max == ref.value.m_max == 5
     assert info.value.last_residual == ref.value.last_residual
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+def test_warm_screens_match_cold_screens(screen_cases, monkeypatch, name):
+    # screening to far below tol reaches the orders whose padded start passes
+    # the step CARE's stop test; a warm screen must not read 0 there
+    problem, config, samples, ref = screen_cases[name]
+    monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e-3)
+    warm = solve(problem, config, sample_times=samples)
+    monkeypatch.setattr(solver, "WARM_STEPS", 0)
+    cold = solve(problem, config, sample_times=samples)
+    _assert_same_solution(warm, ref)
+    warm_rows = {r.m: r for r in warm.trace if r.screen}
+    cold_rows = {r.m: r for r in cold.trace if r.screen}
+    assert sorted(warm_rows) == sorted(cold_rows) == list(range(1, max(cold_rows) + 1))
+    assert not any(r.skipped for r in warm_rows.values())
+    for m, row in cold_rows.items():
+        assert row.residual > 0.0
+        assert abs(warm_rows[m].residual - row.residual) <= 1e-3 * row.residual
+    assert sum(r.schur_factorizations for r in warm_rows.values()) < \
+        sum(r.schur_factorizations for r in cold_rows.values())
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+def test_failing_candidate_walks_up_without_lower_check(screen_cases, monkeypatch, name):
+    problem, config, samples, ref = screen_cases[name]
+    monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e-3)
+    screens = {r.m: r.residual for r in solve(problem, config, sample_times=samples).trace
+               if r.screen}
+    # the screen at m - 1 is the first to pass; its configured check fails
+    monkeypatch.setattr(solver, "SCREEN_SAFETY", screens[ref.m - 1] / config.tol * (1 + 1e-6))
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    candidate = max(r.m for r in sol.trace if r.screen)
+    assert candidate == sol.m - 1
+    # no configured check below the candidate
+    assert _configured_orders(sol) == [candidate, sol.m]
+
+
+def test_trace_rows_report_integration_work(screen_cases, monkeypatch):
+    problem, config, samples, ref = screen_cases["convdiff-n100"]
+
+    def failing_screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None, starts=None):
+        if cfg is not config and T.shape[0] == 3 * 2 * problem.s:
+            raise StepFailure(1, "screen step failed")
+        return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times, starts=starts)
+
+    monkeypatch.setattr(solver, "integrate", failing_screen)
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    last, stats = sol.trace[-1], sol.step_stats
+    assert last.schur_factorizations == sum(stats["schur_factorizations"])
+    assert last.euler_retakes == stats["euler_retakes"] == 1
+    assert last.stationary_steps == stats["stationary_steps"] > 0
+    for row in sol.trace:
+        assert 0.0 <= row.integrate_s <= row.seconds
+        if row.skipped:
+            assert (row.schur_factorizations, row.euler_retakes, row.stationary_steps) == (0, 0, 0)
+        else:
+            assert row.schur_factorizations > 0
+    assert [r.m for r in sol.trace if r.skipped] == [3]
