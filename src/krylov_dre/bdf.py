@@ -225,8 +225,7 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None,
         def step(order, history):
             if history[0] is not froms[-1]:
                 froms.append(history[0])
-            if len(froms) - 1 <= len(padded):
-                return take_step(order, history, padded[len(froms) - 2])
-            return take_step(order, history)
+            k = len(froms) - 1
+            return take_step(order, history, padded[k - 1] if k <= len(padded) else None)
 
     return march(step, Y0, t_f, h, config.p, sample_times)

@@ -382,6 +382,14 @@ def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkey
     unscreened = {r.m: r.residual for r in ref.trace}
     assert all(r.residual == unscreened[r.m] for r in sol.trace
                if not r.screen and r.m in unscreened)
+    # every row reports its integration's work, and a skipped one none
+    last, stats = sol.trace[-1], sol.step_stats
+    assert (last.schur_factorizations, last.euler_retakes, last.stationary_steps) == \
+        (sum(stats["schur_factorizations"]), stats["euler_retakes"], stats["stationary_steps"])
+    assert all(0.0 < r.integrate_s <= r.seconds for r in sol.trace)
+    assert all((r.schur_factorizations > 0) != r.skipped for r in sol.trace)
+    skipped = sol.trace[failing - 1]
+    assert (skipped.euler_retakes, skipped.stationary_steps) == (0, 0)
 
 
 def test_not_converged_reports_configured_residual(screen_cases):
@@ -431,26 +439,3 @@ def test_failing_candidate_walks_up_without_lower_check(screen_cases, monkeypatc
     # no configured check below the candidate
     assert _configured_orders(sol) == [candidate, sol.m]
 
-
-def test_trace_rows_report_integration_work(screen_cases, monkeypatch):
-    problem, config, samples, ref = screen_cases["convdiff-n100"]
-
-    def failing_screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None, starts=None):
-        if cfg is not config and T.shape[0] == 3 * 2 * problem.s:
-            raise StepFailure(1, "screen step failed")
-        return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times, starts=starts)
-
-    monkeypatch.setattr(solver, "integrate", failing_screen)
-    sol = solve(problem, config, sample_times=samples)
-    _assert_same_solution(sol, ref)
-    last, stats = sol.trace[-1], sol.step_stats
-    assert last.schur_factorizations == sum(stats["schur_factorizations"])
-    assert last.euler_retakes == stats["euler_retakes"] == 1
-    assert last.stationary_steps == stats["stationary_steps"] > 0
-    for row in sol.trace:
-        assert 0.0 <= row.integrate_s <= row.seconds
-        if row.skipped:
-            assert (row.schur_factorizations, row.euler_retakes, row.stationary_steps) == (0, 0, 0)
-        else:
-            assert row.schur_factorizations > 0
-    assert [r.m for r in sol.trace if r.skipped] == [3]
