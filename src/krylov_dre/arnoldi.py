@@ -40,10 +40,9 @@ class ExtendedKrylovBasis:
         exact with an empty coupling block.
     """
 
-    def __init__(self, V, Lam, s):
+    def __init__(self, V, Lambda11, s):
         self.V = V
-        self.Lambda = Lam
-        self.Lambda11 = Lam[:s, :s]
+        self.Lambda11 = Lambda11
         self.s = s
         self.w = 2 * s
         self.m = 0
@@ -83,14 +82,14 @@ class ExtendedKrylovBasis:
             return self
         if not 1 <= m < self.order:
             raise ValueError(f"cannot cut a basis of order {self.order} to order {m}")
-        cut = ExtendedKrylovBasis(self.V[:, : (m + 1) * self.w], self.Lambda, self.s)
+        cut = ExtendedKrylovBasis(self.V[:, : (m + 1) * self.w], self.Lambda11, self.s)
         cut.m = m
         cut.T = self.T[: (m + 1) * self.w, : m * self.w]
         return cut
 
 
 def seed(handle, C) -> ExtendedKrylovBasis:
-    """Start the process: QR of [C^T, A^{-T}C^T] gives V_1 and Lambda.
+    """Start the process: QR of [C^T, A^{-T}C^T] gives V_1 and Lambda11.
 
     Raises RankDeficientSeed when the R factor has a relatively tiny diagonal
     entry (C^T rank deficient, or A^{-T}C^T parallel to C^T).
@@ -102,7 +101,8 @@ def seed(handle, C) -> ExtendedKrylovBasis:
         raise RankDeficientSeed(
             "QR of [C^T, A^{-T}C^T] is numerically rank deficient"
         )
-    return ExtendedKrylovBasis(Q, R, C.shape[0])
+    s = C.shape[0]
+    return ExtendedKrylovBasis(Q, R[:s, :s], s)
 
 
 def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
@@ -120,12 +120,10 @@ def expand(basis: ExtendedKrylovBasis, handle) -> ExtendedKrylovBasis:
     s, w = basis.s, basis.w
     j = basis.m
     Vj = basis.block(j)
-    AtV1 = handle.apply_t(Vj[:, :s])
-    AtV2 = handle.apply_t(Vj[:, s:])
-    AtVj = np.hstack([AtV1, AtV2])
+    AtVj = handle.apply_t(Vj)
     W = handle.solve_t(np.ascontiguousarray(Vj[:, s:]))
 
-    cand = np.hstack([AtV1, W])
+    cand = np.hstack([AtVj[:, :s], W])
     cand_scale = np.linalg.norm(cand, 2)
     for _ in range(2):
         cand = cand - basis.V @ (basis.V.T @ cand)

@@ -73,60 +73,52 @@ class ClosedLoopOperator:
         return St - self.W @ self.U.T
 
 
-def _compress_columns(G):
-    """Drop directions of G G^T below SEED_RTOL of the dominant one (G ~ full rank out)."""
-    if G.shape[1] == 0:
-        return G
-    P, sig, _ = np.linalg.svd(G, full_matrices=False)
-    keep = sig > SEED_RTOL * sig[0] if sig.size and sig[0] > 0 else np.zeros(sig.shape, bool)
-    return P[:, keep] * sig[keep]
-
-
-def _orth_new(M, V, rtol=1e-10):
+def _orth_new(M, V):
     """Orthonormal basis of the part of M outside span(V), with deflation."""
-    if M.shape[1] == 0:
-        return M
     scale = np.linalg.norm(M, 2)
-    if scale == 0.0:
-        return M[:, :0]
-    if V is not None:
-        M = M - V @ (V.T @ M)
-        M = M - V @ (V.T @ M)
+    M = M - V @ (V.T @ M)
+    M = M - V @ (V.T @ M)
     P, sig, _ = np.linalg.svd(M, full_matrices=False)
-    keep = sig > rtol * scale
+    keep = sig > 1e-10 * scale
     return P[:, keep]
 
 
 def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
     """Solve F^T X + X F + G G^T = 0 with X ~ Z Z^T by Galerkin projection.
 
-    op provides apply_t/solve_t actions of the stable closed-loop F.  The
-    subspace grows extended-Krylov style (images of the newest directions
-    under F^T and F^{-T}) with rank-revealing deflation at every step: Newton
-    iterates tend to live in nearly F-invariant subspaces, making undeflated
-    extended seeds rank deficient by construction.  The projection is kept
-    exact by maintaining W = F^T V, and the residual norm is the honest
+    op provides apply_t/solve_t actions of the stable closed-loop F, and
+    dense_t for a seed that (nearly) saturates the space.  The subspace grows
+    extended-Krylov style (images of the newest directions under F^T and
+    F^{-T}) with rank-revealing deflation at every step: Newton iterates tend
+    to live in nearly F-invariant subspaces, making undeflated extended seeds
+    rank deficient by construction.  The projection is kept exact by
+    maintaining W = F^T V, and the residual norm is the honest
     ||(I - V V^T) F^T V Y||_2 (no Hessenberg structure is assumed), which
     stays valid through deflation and saturation.
     """
     n = op.n
-    Gc = _compress_columns(np.asarray(G, dtype=float))
-    if Gc.shape[1] == 0:
+    # One SVD of G gives the seed basis V, G's compressed columns Gc = V
+    # diag(sig) (directions of G G^T below SEED_RTOL of the dominant one
+    # dropped) and ||Gc||_2 = sig[0].  range(G) must be captured essentially
+    # exactly, or the residual estimate silently misses the part of G G^T
+    # outside the subspace.
+    P, sig, _ = np.linalg.svd(np.asarray(G, dtype=float), full_matrices=False)
+    keep = sig > SEED_RTOL * sig.max(initial=0.0)
+    V, sig = P[:, keep], sig[keep]
+    if sig.size == 0:
         return SignedFactor.zero(n)
+    Gc = V * sig
 
-    if 2 * Gc.shape[1] >= 0.8 * n and hasattr(op, "dense_t"):
+    if 2 * Gc.shape[1] >= 0.8 * n:
         # the seed (nearly) saturates the space within an iteration or two;
         # the Galerkin solve then equals the dense one, so take it directly
         X = solve_lyapunov(op.dense_t().T, Gc @ Gc.T)
         return SignedFactor.from_psd(psd_factor(X, dtol)[0])
 
-    # range(G) must be captured essentially exactly, or the residual estimate
-    # silently misses the part of G G^T outside the subspace
-    V = _orth_new(Gc, None, rtol=1e-14)
     V = np.hstack([V, _orth_new(op.solve_t(Gc), V)])
     W = op.apply_t(V)
     last = V
-    norm_g = float(np.linalg.norm(Gc, 2))
+    norm_g = float(sig[0])
     res = np.inf
     for m in range(1, m_max + 1):
         T = V.T @ W
@@ -272,11 +264,11 @@ def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
     trace = []
     t0 = time.perf_counter()
 
-    def step(order, history):
+    def step(k, order, history):
         X, est, scale, iterations = _baseline_step(problem, config, handles, history,
                                                    order, h)
         trace.append(ConvergenceRecord(
-            m=len(trace) + 1, residual=est / scale, rank=X.rank,
+            m=k, residual=est / scale, rank=X.rank,
             matvecs=sum(hh.matvecs for hh in handles.values()),
             solves=sum(hh.solves for hh in handles.values()),
             seconds=time.perf_counter() - t0,

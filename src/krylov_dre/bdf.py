@@ -99,22 +99,23 @@ def step_grid(t_f, h, sample_times=None):
 def march(step, Y0, t_f, h, p, sample_times=None) -> ProjectedTrajectory:
     """BDF(p) time loop from Y0 to t_f with a uniform step h.
 
-    step(order, history) takes one implicit step of the given BDF order from
-    the last iterates (newest first) and returns (Y, info), where info holds
-    the step solve's "iterations" and "residual" and optionally its
+    step(k, order, history) takes step k (1, 2, ...) at the given BDF order
+    from the last iterates (newest first) and returns (Y, info), where info
+    holds the step solve's "iterations" and "residual" and optionally its
     "factorizations".  The order ramps up as min(p, k), so no off-grid
     starting values are needed.  A failed multistep step is retaken as
-    implicit Euler, and its work counts towards the step; a failure at order
-    1 raises StepFailure with the step index, chained to its cause.  The
-    initial state, the states nearest to sample_times and the final state
-    are recorded.
+    implicit Euler with the same k, and its work counts towards the step; a
+    failure at order 1 raises StepFailure with the step index, chained to
+    its cause.  The initial state, the states nearest to sample_times and
+    the final state are recorded.
 
     A step at order p, not retaken, that reports 0 iterations and returns
     the iterate its whole history holds (bit for bit) ends the loop: the
     next step would see the same order and history, so, with step a
-    function of those and of state it changes only while iterating, every
-    later step returns the same iterate.  Their log entries repeat this
-    step's and are counted in stationary_steps.
+    function of those and of state it changes only while iterating (k may
+    matter only to steps that always iterate), every later step returns the
+    same iterate.  Their log entries repeat this step's and are counted in
+    stationary_steps.
     """
     n_steps, sample_idx = step_grid(t_f, h, sample_times)
     traj = ProjectedTrajectory(times=[0.0], ys=[Y0], tail=[Y0])
@@ -124,7 +125,7 @@ def march(step, Y0, t_f, h, p, sample_times=None) -> ProjectedTrajectory:
         lost = (0, 0)
         try:
             try:
-                Y, info = step(order, history)
+                Y, info = step(k, order, history)
             except SolverError as exc:
                 if order == 1:
                     raise
@@ -134,7 +135,7 @@ def march(step, Y0, t_f, h, p, sample_times=None) -> ProjectedTrajectory:
                 lost = (getattr(exc, "iterations", 0), getattr(exc, "factorizations", 0))
                 order = 1
                 traj.euler_retakes += 1
-                Y, info = step(1, history)
+                Y, info = step(k, 1, history)
         except SolverError as exc:
             raise StepFailure(k, str(exc)) from exc
         traj.newton_iters.append(info["iterations"] + lost[0])
@@ -192,8 +193,9 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None,
     # that order reuses for chord steps.
     terms = {}
     factors = {}
+    padded = [np.pad(Y, (0, T.shape[0] - Y.shape[0])) for Y in starts or ()]
 
-    def take_step(order, history, x_start=None):
+    def take_step(k, order, history):
         if order not in terms:
             coeffs = bdf_coefficients(order)
             hb = h * coeffs.beta
@@ -205,27 +207,15 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None,
         # The damped local Newton, not the stabilizing Newton-Kleinman: steps
         # across a stiff transient can have non-stabilizing (or slightly
         # indefinite) roots that the strict stabilizing iteration cannot reach.
-        # A failed attempt's factor is dropped with it.
-        forced = x_start is not None
+        # A failed attempt's factor is dropped with it; its retake (same k)
+        # starts where it did.
+        forced = k <= len(padded)
         Y, info = care_local_root(A, B, symmetrize(q),
-                                  x_start=x_start if forced else history[0],
+                                  x_start=padded[k - 1] if forced else history[0],
                                   tol=config.care_tol, factor=factors.get(order),
                                   forced=forced)
         factors[order] = info["factor"]
         return Y, info
 
     Y0 = symmetrize(np.asarray(Y0, dtype=float))
-    step = take_step
-    if starts:
-        padded = [np.pad(Y, (0, T.shape[0] - Y.shape[0])) for Y in starts]
-        # the iterate each step so far started from; a retake starts from
-        # the same one as its failed attempt
-        froms = [None]
-
-        def step(order, history):
-            if history[0] is not froms[-1]:
-                froms.append(history[0])
-            k = len(froms) - 1
-            return take_step(order, history, padded[k - 1] if k <= len(padded) else None)
-
-    return march(step, Y0, t_f, h, config.p, sample_times)
+    return march(take_step, Y0, t_f, h, config.p, sample_times)

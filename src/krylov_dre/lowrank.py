@@ -40,9 +40,6 @@ class SignedFactor:
         """X @ V without forming X."""
         return self.Z @ (self.signs[:, None] * (self.Z.T @ V))
 
-    def frobenius(self):
-        return signed_diff_fro(self, None)
-
     def _qr_core(self):
         """Thin QR Z = Q R and the small symmetric core R diag(signs) R^T."""
         Q, R = np.linalg.qr(self.Z)
@@ -78,21 +75,14 @@ def signed_diff_fro(f1: SignedFactor, f2: SignedFactor | None):
     """||X1 - X2||_F from factors, without forming an n-by-n matrix.
 
     A thin QR of the stacked columns M = [Z1, Z2] reduces the difference to
-    the small symmetric core R diag(signs1, -signs2) R^T, whose eigenvalues
-    give the norm.  Going through the core (rather than trace identities on
+    the small symmetric core R diag(signs1, -signs2) R^T (_qr_core), whose
+    eigenvalues give the norm.  Going through the core (rather than trace identities on
     the Gram matrix) keeps the cancellation error at the eps * ||X|| level,
     so near-identical factors still resolve.
     """
-    if f2 is None or f2.rank == 0:
-        M, d = f1.Z, f1.signs
-    elif f1.rank == 0:
-        M, d = f2.Z, f2.signs
-    else:
-        M = np.hstack([f1.Z, f2.Z])
-        d = np.concatenate([f1.signs, -f2.signs])
-    if M.shape[1] == 0:
+    diff = f1 if f2 is None else SignedFactor(np.hstack([f1.Z, f2.Z]),
+                                              np.concatenate([f1.signs, -f2.signs]))
+    if diff.rank == 0:
         return 0.0
-    R = np.linalg.qr(M, mode="r")
-    core = (R * d) @ R.T
-    lam = np.linalg.eigvalsh(0.5 * (core + core.T))
+    lam = np.linalg.eigvalsh(diff._qr_core()[1])
     return float(np.sqrt(np.sum(lam**2)))

@@ -177,18 +177,13 @@ def steady_state(problem, tol=1e-10, handle=None):
         X = solve_care(A, B, C.T @ C, tol=tol * 1e-2)
         return psd_factor(X, STEADY_DTOL)[0]
 
-    y_prev = None
+    Y = None
     res = np.inf
     handle = factorize(problem.A) if handle is None else handle
     for basis, _ in krylov_orders(problem, handle, STEADY_M_MAX):
         T_m, B_m, C_m = arnoldi.projected_matrices(basis, B)
-        k = T_m.shape[0]
-        warm = None
-        if y_prev is not None:
-            warm = np.zeros((k, k))
-            warm[: y_prev.shape[0], : y_prev.shape[1]] = y_prev
+        warm = None if Y is None else np.pad(Y, (0, T_m.shape[0] - Y.shape[0]))
         Y = solve_care(T_m.T, B_m, C_m.T @ C_m, x_init=warm, tol=1e-14)
-        y_prev = Y
         res = residual_estimate(basis, Y).value
         if res < tol:
             return basis.basis_matrix() @ psd_factor(Y, STEADY_DTOL)[0]

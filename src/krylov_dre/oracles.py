@@ -15,7 +15,6 @@ dW/dt = -At W - W At^T, i.e. W(t) = e^{-t At} W(0) e^{-t At^T}.  Inverting,
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,13 +34,6 @@ from .problem import SolverConfig
 MAX_ORACLE_N = 200
 
 
-@dataclass
-class OracleData:
-    x_tilde: np.ndarray
-    a_tilde: np.ndarray
-    z_tilde: np.ndarray
-
-
 def _dense_a(problem):
     if problem.n > MAX_ORACLE_N:
         raise ValueError(f"oracle limited to n <= {MAX_ORACLE_N}, got {problem.n}")
@@ -49,8 +41,8 @@ def _dense_a(problem):
     return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
 
 
-def oracle_data(problem) -> OracleData:
-    """Algebraic solution, closed loop and Lyapunov companion for the formula."""
+def oracle_data(problem):
+    """(Xt, At, Zt): algebraic solution, closed loop and Lyapunov companion for the formula."""
     A = _dense_a(problem)
     B, C = problem.B, problem.C
     try:
@@ -62,7 +54,7 @@ def oracle_data(problem) -> OracleData:
     At = A - B @ (B.T @ Xt)
     # solve At Z + Z At^T = B B^T  <=>  (At^T)^T Z + Z At^T - B B^T = 0
     Zt = solve_lyapunov(At.T, -(B @ B.T))
-    return OracleData(x_tilde=Xt, a_tilde=At, z_tilde=Zt)
+    return Xt, At, Zt
 
 
 def dense_reference_integrate(problem, h_ref, t_grid, p=2, care_tol=1e-13):
@@ -105,8 +97,7 @@ def exact_solution(problem, t):
     lam = np.linalg.eigvalsh(symmetrize(X0))
     if lam.min() <= 0.0:
         raise ValueError("closed-form trajectory requires X(0) > 0")
-    data = oracle_data(problem)
-    Xt, At, Zt = data.x_tilde, data.a_tilde, data.z_tilde
+    Xt, At, Zt = oracle_data(problem)
     D0 = X0 - Xt
     E = sla.expm(t * At)
     try:

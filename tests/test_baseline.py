@@ -13,7 +13,7 @@ from krylov_dre.baseline import (
 from krylov_dre.bdf import bdf_coefficients
 from krylov_dre.benchmarks import gen_convdiff2d
 from krylov_dre.dense import solve_care, solve_lyapunov
-from krylov_dre.errors import (MaxIterations, NoStabilizingGuess, StepFailure,
+from krylov_dre.errors import (MaxIterations, NoStabilizingGuess, NotConverged, StepFailure,
                                UnstableClosedLoop)
 from krylov_dre.lowrank import SignedFactor, signed_diff_fro
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
@@ -149,7 +149,7 @@ def test_newton_step_large_fixed_point():
     f_star = SignedFactor.from_psd(W[:, keep] * np.sqrt(lam[keep]))
     stepped = newton_step_large(f_star, s_handle, curly_b, pos, neg, lyap_tol=1e-13,
                                 m_max=60, dtol=1e-13)
-    assert signed_diff_fro(stepped, f_star) <= 1e-8 * max(f_star.frobenius(), 1.0)
+    assert signed_diff_fro(stepped, f_star) <= 1e-8 * max(signed_diff_fro(f_star, None), 1.0)
 
 
 def test_solve_baseline_zero_problem():
@@ -227,3 +227,86 @@ def test_solve_baseline_first_step_failures(monkeypatch):
     with pytest.raises(StepFailure) as info:
         solve_baseline(problem, config)
     assert info.value.step == 1
+
+
+def test_eba_lyapunov_unstable_projection_raises():
+    # F has the eigenvalue pair +-1 on span(e1, e2), which the seed spans
+    F = np.diag([1.0, -1.0] + [-2.0 - j for j in range(8)])
+    G = np.zeros((10, 1))
+    G[:2, 0] = 1.0
+    with pytest.raises(UnstableClosedLoop):
+        eba_lyapunov(_DenseOp(F), G, tol=1e-12, m_max=10, dtol=1e-12)
+
+
+def test_eba_lyapunov_not_converged_raises():
+    F = random_stable(49, seed=13, shift=9.0)
+    G = np.random.default_rng(14).standard_normal((49, 2))
+    with pytest.raises(NotConverged) as info:
+        eba_lyapunov(_DenseOp(F), G, tol=1e-30, m_max=1, dtol=1e-13)
+    assert info.value.m_max == 1 and info.value.last_residual > 0.0
+    # an exactly invariant seed space leaves nothing to expand by: with no
+    # residual small enough the solver stops instead of looping
+    G = np.zeros((6, 1))
+    G[0, 0] = 1.0
+    with pytest.raises(NotConverged) as info:
+        eba_lyapunov(_DenseOp(-np.eye(6)), G, tol=0.0, m_max=10, dtol=1e-12)
+    assert info.value.m_max == 1 and info.value.last_residual == 0.0
+
+
+def _scripted_newton(monkeypatch, script):
+    """One implicit-Euler _baseline_step on convdiff n0=3 with a scripted Newton iterate.
+
+    The i-th large Newton iterate (i = 1, 2, ... over all starts) is X_p +
+    d_i r u u^T, with d_i = script(i) (which may raise instead), u a unit
+    vector with u^T B != 0 and r chosen so that the step's estimate is
+    (d_i^2 + 1/2) times its stop threshold.  Returns the problem, config and
+    the list of the iterates X_p the calls started from.
+    """
+    problem, config = gen_convdiff2d(3, seed=5, t_f=0.1), SolverConfig(p=1, h=1e-2)
+    u = problem.B[:, :1] / np.linalg.norm(problem.B[:, 0])
+    starts = []
+
+    def newton(X_p, s_handle, curly_b, pos, neg, lyap_tol, m_max, dtol):
+        starts.append(X_p)
+        # the threshold is care_tol * scale = 4 * lyap_tol
+        r = np.sqrt(4 * lyap_tol) / np.linalg.norm(u.T @ curly_b)
+        step = SignedFactor.from_psd(np.sqrt(script(len(starts)) * r) * u)
+        return SignedFactor(np.hstack([X_p.Z, step.Z]), np.append(X_p.signs, 1.0))
+
+    monkeypatch.setattr(baseline, "newton_step_large", newton)
+    return problem, config, starts
+
+
+def test_baseline_step_stalls(monkeypatch):
+    # the estimate stays at 1.5 thresholds: no 2x gain in six iterations
+    problem, config, starts = _scripted_newton(monkeypatch, lambda i: 1.0)
+    with pytest.raises(MaxIterations, match="stalled") as info:
+        baseline._baseline_step(problem, config, {1: None}, [SignedFactor.zero(problem.n)],
+                                1, config.h)
+    assert info.value.iterations == len(starts) == 7
+
+
+def test_baseline_step_runs_out_of_iterations(monkeypatch):
+    # the estimate falls 4x per iteration but is still 4.5 thresholds at the last
+    problem, config, starts = _scripted_newton(
+        monkeypatch, lambda i: 2.0 ** (baseline.NEWTON_MAXIT + 1 - i))
+    with pytest.raises(MaxIterations, match=f"after {baseline.NEWTON_MAXIT} iterations") as info:
+        baseline._baseline_step(problem, config, {1: None}, [SignedFactor.zero(problem.n)],
+                                1, config.h)
+    assert info.value.iterations == len(starts) == baseline.NEWTON_MAXIT
+
+
+def test_baseline_step_falls_back_to_zero_start(monkeypatch):
+    # from the last iterate Newton stalls; from zero it passes at its 2nd iterate
+    problem, config, starts = _scripted_newton(monkeypatch, lambda i: 1.0 if i <= 8 else 0.0)
+    last = SignedFactor.from_psd(problem.Z0)
+    X, est, scale, iterations = baseline._baseline_step(problem, config, {1: None}, [last],
+                                                         1, config.h)
+    assert iterations == len(starts) == 9
+    assert starts[0] is last and starts[7].rank == 0
+    assert X.rank == 2 and est <= config.care_tol * scale
+    # when the zero start fails too, its failure is raised
+    problem, config, starts = _scripted_newton(monkeypatch, lambda i: 1.0)
+    with pytest.raises(MaxIterations, match="stalled") as info:
+        baseline._baseline_step(problem, config, {1: None}, [last], 1, config.h)
+    assert info.value.iterations == len(starts) == 14

@@ -308,8 +308,8 @@ class _FakeStep:
         self.fail = fail or {}
         self.calls = []
 
-    def __call__(self, order, history):
-        k = history[0] + 1
+    def __call__(self, k, order, history):
+        assert k == history[0] + 1
         self.calls.append((k, order, list(history)))
         if (k, order) in self.fail:
             raise self.fail[k, order]
@@ -372,12 +372,10 @@ class _SettlingStep:
         self.fail = fail or {}
         self.calls = []
 
-    def __call__(self, order, history):
-        k = len([c for c in self.calls if c[1] == 0]) + 1
+    def __call__(self, k, order, history):
+        self.calls.append(k)
         if (k, order) in self.fail:
-            self.calls.append((k, 1))
             raise self.fail[k, order]
-        self.calls.append((k, 0))
         return np.full((2, 2), float(min(k, self.settle))), {
             "iterations": 0 if k > self.settle else 2, "factorizations": 0,
             "residual": 1e-14 * min(k, self.settle)}
@@ -388,7 +386,7 @@ def test_march_stops_at_stationary_tail():
     traj = march(step, np.zeros((2, 2)), 1.0, 0.1, 2, sample_times=[0.5, 0.7])
     # step 3 returns step 2's iterate but its history still holds step 1's;
     # from step 4 on every history iterate equals the result
-    assert [k for k, _ in step.calls] == [1, 2, 3, 4]
+    assert step.calls == [1, 2, 3, 4]
     assert traj.stationary_steps == 6
     assert traj.orders == [1] + [2] * 9
     assert traj.newton_iters == [2, 2] + [0] * 8
@@ -404,11 +402,11 @@ def test_march_stationary_needs_order_p_and_no_retake():
     # the ramp (order 1 < p) and a step retaken as implicit Euler never end the loop
     step = _SettlingStep(settle=1)
     traj = march(step, np.full((2, 2), 1.0), 0.5, 0.1, 3)
-    assert [k for k, _ in step.calls] == [1, 2, 3]
+    assert step.calls == [1, 2, 3]
     assert traj.stationary_steps == 2
     step = _SettlingStep(settle=1, fail={(2, 2): MaxIterations("no root")})
     traj = march(step, np.full((2, 2), 1.0), 1.0, 0.1, 2)
-    assert [k for k, _ in step.calls] == [1, 2, 2, 3]
+    assert step.calls == [1, 2, 2, 3]
     assert traj.orders == [1, 1] + [2] * 8
     assert traj.euler_retakes == 1
     assert traj.stationary_steps == 7
@@ -437,23 +435,28 @@ def test_integrate_stationary_skip_is_exact(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(fast.tail, full.tail))
 
 
-def test_integrate_warm_starts_first_steps():
-    # convdiff n0=10: order 8's implicit-Euler iterates at steps 1-2, padded
-    # with zeros, start order 9's steps 1-2; each of those takes an iteration
+def _warm_case():
+    """convdiff n0=10 projected at order 9, and order 8's implicit-Euler iterates at steps 1-2."""
     problem = gen_convdiff2d(10, seed=11, t_f=1.0)
     handle = factorize(problem.A)
     basis = arnoldi.seed(handle, problem.C)
     for _ in range(9):
         arnoldi.expand(basis, handle)
-    config = SolverConfig(p=1, h=0.05)
-    coarse, fine = basis.truncated(8), basis
+    coarse = basis.truncated(8)
     prev = integrate(*arnoldi.projected_matrices(coarse, problem.B),
-                     solver._project_initial(coarse, problem.Z0), 1.0, config,
-                     sample_times=[0.05, 0.1])
-    T, B_m, C_m = arnoldi.projected_matrices(fine, problem.B)
-    Y0 = solver._project_initial(fine, problem.Z0)
+                     solver._project_initial(coarse, problem.Z0), 1.0,
+                     SolverConfig(p=1, h=0.05), sample_times=[0.05, 0.1])
+    return (*arnoldi.projected_matrices(basis, problem.B),
+            solver._project_initial(basis, problem.Z0), prev.ys[1:3], basis)
+
+
+def test_integrate_warm_starts_first_steps():
+    # order 8's iterates, padded with zeros, start order 9's steps 1-2; each
+    # of those takes an iteration
+    T, B_m, C_m, Y0, starts, basis = _warm_case()
+    config = SolverConfig(p=1, h=0.05)
     cold = integrate(T, B_m, C_m, Y0, 1.0, config)
-    warm = integrate(T, B_m, C_m, Y0, 1.0, config, starts=prev.ys[1:3])
+    warm = integrate(T, B_m, C_m, Y0, 1.0, config, starts=starts)
     assert warm.newton_iters[0] >= 1 and warm.newton_iters[1] >= 1
     assert sum(warm.schur_factorizations[:2]) < sum(cold.schur_factorizations[:2])
     assert np.linalg.norm(warm.final - cold.final) <= 1e-9 * np.linalg.norm(cold.final)
@@ -464,3 +467,26 @@ def test_integrate_warm_starts_first_steps():
     none = integrate(T, B_m, C_m, Y0, 1.0, config, starts=[])
     assert none.step_stats(config.h) == cold.step_stats(config.h)
     assert np.array_equal(none.final, cold.final)
+
+
+def test_integrate_retakes_warm_step_from_its_start(monkeypatch):
+    # step 2's BDF(2) attempt fails; its implicit-Euler retake starts from the
+    # same padded iterate, and step 3 from step 2's result
+    T, B_m, C_m, Y0, starts, _ = _warm_case()
+    calls = []
+
+    def failing_second(A, B, Q, x_start, **kwargs):
+        calls.append((x_start, kwargs["forced"]))
+        if len(calls) == 2:
+            raise MaxIterations("no root", iterations=3, factorizations=1)
+        return dense.care_local_root(A, B, Q, x_start, **kwargs)
+
+    monkeypatch.setattr(bdf, "care_local_root", failing_second)
+    traj = integrate(T, B_m, C_m, Y0, 1.0, SolverConfig(p=2, h=0.05),
+                     sample_times=[0.05, 0.1], starts=starts)
+    assert traj.orders[:3] == [1, 1, 2] and traj.euler_retakes == 1
+    padded = [np.pad(Y, (0, T.shape[0] - Y.shape[0])) for Y in starts]
+    assert np.array_equal(calls[0][0], padded[0])
+    assert np.array_equal(calls[1][0], padded[1]) and np.array_equal(calls[2][0], padded[1])
+    assert calls[3][0] is traj.ys[2]
+    assert [forced for _, forced in calls[:4]] == [True, True, True, False]

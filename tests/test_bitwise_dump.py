@@ -1,0 +1,61 @@
+"""scripts/bitwise_dump.py must keep digesting solver outputs.
+
+Two checkouts are shown to give bitwise-equal outputs by comparing the
+script's digests, so a script that no longer runs, or that digests less than
+it says, should fail here rather than in a comparison.
+"""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from krylov_dre import baseline, solver
+from krylov_dre.benchmarks import gen_convdiff2d
+from krylov_dre.problem import SolverConfig
+
+DUMP = Path(__file__).resolve().parents[1] / "scripts" / "bitwise_dump.py"
+SOLVE_KEYS = {"m", "rank", "residual", "Z", "y_final", "samples", "step_stats", "trace"}
+
+
+def _load_dump(monkeypatch):
+    # the script pins BLAS threads and extends sys.path on import; undo both
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bitwise_dump", DUMP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _is_digest(x):
+    return isinstance(x, str) and len(x) == 64 and int(x, 16) >= 0
+
+
+def test_dump_digests_solve_and_baseline(monkeypatch):
+    dump = _load_dump(monkeypatch)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    problem = gen_convdiff2d(5, seed=3, t_f=1.0)
+    config = SolverConfig(p=2, h=0.05, tol=1e-8, m_max=12)
+
+    sol = solver.solve(problem, config, sample_times=[0.0, 1.0])
+    out = dump.solution(sol)
+    assert set(out) == SOLVE_KEYS | {"V", "T"}
+    assert (out["m"], out["rank"]) == (sol.m, sol.rank)
+    assert float.fromhex(out["residual"]) == sol.residual.value
+    assert all(map(_is_digest, [out[k] for k in ("Z", "y_final", "trace", "V", "T")]))
+    assert len(out["samples"]) == 2 and all(map(_is_digest, out["samples"]))
+    assert set(out["step_stats"]) == set(sol.step_stats)
+    assert dump.solution(sol) == out
+    # a change in the last bit of one entry changes the digest
+    sol.Z = sol.Z.copy()
+    sol.Z[0, 0] = np.nextafter(sol.Z[0, 0], np.inf)
+    assert dump.solution(sol)["Z"] != out["Z"]
+
+    base = dump.solution(baseline.solve_baseline(problem, config))
+    assert set(base) == SOLVE_KEYS and base["residual"] is None
+    assert base["m"] == 20 and _is_digest(base["Z"]) and _is_digest(base["trace"])
+    assert "schur_factorizations" not in base["step_stats"]

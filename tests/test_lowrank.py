@@ -13,7 +13,7 @@ def _random_signed(rng, n, r):
 def test_zero_factor():
     f = SignedFactor.zero(5)
     assert f.rank == 0
-    assert f.frobenius() == 0.0
+    assert signed_diff_fro(f, None) == 0.0
     assert f.compress(1e-10).rank == 0
 
 
@@ -22,7 +22,8 @@ def test_dense_roundtrip():
     f = _random_signed(rng, 6, 3)
     X = f.to_dense()
     assert np.allclose(X, X.T)
-    assert abs(np.linalg.norm(X, "fro") - f.frobenius()) <= 1e-10 * f.frobenius()
+    fro = signed_diff_fro(f, None)
+    assert abs(np.linalg.norm(X, "fro") - fro) <= 1e-10 * fro
 
 
 @settings(max_examples=30, deadline=None)
@@ -51,6 +52,8 @@ def test_signed_diff_matches_dense():
     f2 = _random_signed(rng, 7, 2)
     expected = np.linalg.norm(f1.to_dense() - f2.to_dense(), "fro")
     assert abs(signed_diff_fro(f1, f2) - expected) <= 1e-10 * max(expected, 1.0)
+    fro2 = np.linalg.norm(f2.to_dense(), "fro")
+    assert abs(signed_diff_fro(SignedFactor.zero(7), f2) - fro2) <= 1e-10 * fro2
 
 
 def test_psd_part_clips_negative_directions():

@@ -439,3 +439,22 @@ def test_failing_candidate_walks_up_without_lower_check(screen_cases, monkeypatc
     # no configured check below the candidate
     assert _configured_orders(sol) == [candidate, sol.m]
 
+
+
+def test_step_failure_at_last_order_is_raised(monkeypatch):
+    # below m_max a failed integration skips its order; at m_max it is raised
+    make, config, _ = SCREEN_CASES["convdiff-n100"]
+    problem, short = make(), SolverConfig(p=config.p, h=config.h, tol=config.tol, m_max=3)
+    w = 2 * problem.s
+    calls, failures = [], []
+
+    def failing(T, B_m, C_m, Y0, t_f, cfg, sample_times=None, starts=None):
+        calls.append((T.shape[0] // w, cfg is short))
+        failures.append(StepFailure(1, "no root"))
+        raise failures[-1]
+
+    monkeypatch.setattr(solver, "integrate", failing)
+    with pytest.raises(StepFailure) as info:
+        solve(problem, short)
+    assert calls == [(1, False), (1, True), (2, False), (2, True), (3, True)]
+    assert info.value is failures[-1]
