@@ -8,10 +8,11 @@ equal bits.  It imports krylov_dre from the src/ of the checkout it sits in
 and pins BLAS to one thread before numpy loads, as perfbench/run.py does.
 The benchmark problems and configs come from perfbench/workloads.py.
 
-Per solve it covers m, rank, the residual (float.hex), Z, y_final, each
-sample, each step_stats entry, the trace rows (m, residual, rank, screen,
-skipped) and the returned basis's V and T; per steady state the factor or the
-error's type and message; per oracle the exact and the reference matrices.
+Per solve it covers m, rank, the residual (float.hex), the breakdown flag, Z,
+y_final, each sample, each step_stats entry, the trace rows (m, residual,
+rank, screen, skipped, schur_factorizations, euler_retakes, stationary_steps)
+and the returned basis's V and T; per steady state the factor or the error's
+type and message; per oracle the exact and the reference matrices.
 """
 
 import hashlib
@@ -60,10 +61,12 @@ def solution(sol):
     out = {
         "m": sol.m, "rank": sol.rank,
         "residual": None if sol.residual is None else sol.residual.value.hex(),
+        "breakdown": sol.breakdown,
         "Z": digest(sol.Z), "y_final": digest(sol.y_final),
         "samples": [digest(s) for s in sol.samples],
         "step_stats": {k: digest(v) for k, v in sol.step_stats.items()},
-        "trace": digest([(r.m, r.residual, r.rank, r.screen, r.skipped) for r in sol.trace]),
+        "trace": digest([(r.m, r.residual, r.rank, r.screen, r.skipped, r.schur_factorizations,
+                          r.euler_retakes, r.stationary_steps) for r in sol.trace]),
     }
     if sol.basis is not None:
         out.update(V=digest(sol.basis.V), T=digest(sol.basis.T))

@@ -2,7 +2,7 @@
 
 Integrates dY/dt = T Y + Y T^T - Y Bm Bm^T Y + Cm^T Cm on [0, t_f] with a
 uniform step h.  Each implicit step is converted into a continuous-time
-algebraic Riccati equation solved by warm-started Newton-Kleinman; its chord
+algebraic Riccati equation solved by warm-started damped Newton; its chord
 steps reuse one closed-loop Schur factor across the steps of a BDF order,
 since the closed loop moves only O(h) from step to step.  The time loop,
 march, is shared with the baseline's BDF on the full equation.
@@ -204,9 +204,9 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None,
         alpha, A, B, q = terms[order]
         for a_i, Y_i in zip(alpha, history):
             q = q + a_i * Y_i
-        # The damped local Newton, not the stabilizing Newton-Kleinman: steps
+        # The local Newton from the previous step, not solve_care: steps
         # across a stiff transient can have non-stabilizing (or slightly
-        # indefinite) roots that the strict stabilizing iteration cannot reach.
+        # indefinite) roots, which solve_care rejects.
         # A failed attempt's factor is dropped with it; its retake (same k)
         # starts where it did.
         forced = k <= len(padded)

@@ -12,7 +12,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .errors import MaxIterations, NoStabilizingGuess, SpectrumIncompatible
+from .errors import (MaxIterations, NoStabilizingGuess, SpectrumIncompatible,
+                     UnstableClosedLoop)
 
 # A chord step (Newton step solved with a frozen closed-loop Schur factor) is
 # kept only if it cuts the CARE residual norm at least CHORD_CONTRACTION-fold;
@@ -20,10 +21,8 @@ from .errors import MaxIterations, NoStabilizingGuess, SpectrumIncompatible
 # drifted from the current closed loop, so it is refreshed on the next step.
 CHORD_CONTRACTION = 0.1
 CHORD_REFRESH = 1e-3
-# Iteration caps: care_local_root (each BDF step's CARE) and solve_care
-# (Newton-Kleinman for the steady state and the oracle).
+# Iteration cap of care_local_root, the one CARE Newton.
 CARE_MAXIT = 50
-NK_MAXIT = 60
 
 
 def symmetrize(M):
@@ -52,13 +51,6 @@ def _schur_eigenvalues(T):
         eigs[i] = mean + root
         eigs[i + 1] = mean - root
     return eigs
-
-
-def lyapunov_residual(F, Q, X):
-    """Relative residual ||F^T X + X F + Q||_F / (2 ||F||_F ||X||_F + ||Q||_F)."""
-    num = np.linalg.norm(F.T @ X + X @ F + Q, "fro")
-    den = 2.0 * np.linalg.norm(F, "fro") * np.linalg.norm(X, "fro") + np.linalg.norm(Q, "fro")
-    return num / max(den, 1e-300)
 
 
 class SchurFactor:
@@ -108,30 +100,6 @@ def solve_lyapunov(F, Q):
     return SchurFactor(F).solve(Q)
 
 
-def care_residual(A, B, Q, X):
-    """Relative residual of A^T X + X A - X B B^T X + Q = 0 at X."""
-    BtX = B.T @ X
-    R = A.T @ X + X @ A - BtX.T @ BtX + Q
-    den = (
-        np.linalg.norm(Q, "fro")
-        + 2.0 * np.linalg.norm(A, "fro") * np.linalg.norm(X, "fro")
-        + np.linalg.norm(BtX, "fro") ** 2
-    )
-    return np.linalg.norm(R, "fro") / max(den, 1e-300)
-
-
-def newton_kleinman_step(A, B, Q, X_p):
-    """One Newton-Kleinman iterate for the CARE A^T X + X A - X BB^T X + Q = 0.
-
-    Solves the Lyapunov equation with the closed loop A - B B^T X_p and the
-    constant term X_p B B^T X_p + Q.  Requires the closed loop to be stable;
-    SpectrumIncompatible from the inner solve means X_p is not stabilizing.
-    """
-    BtX = B.T @ X_p
-    F = A - B @ BtX
-    return solve_lyapunov(F, symmetrize(BtX.T @ BtX + Q))
-
-
 def is_stable(M):
     return np.linalg.eigvals(M).real.max() < 0.0
 
@@ -157,46 +125,29 @@ def _bass_stabilizing_start(A, B):
 
 
 def solve_care(A, B, Q, x_init=None, tol=1e-12):
-    """Stabilizing solution of A^T X + X A - X B B^T X + Q = 0 by Newton-Kleinman.
+    """Stabilizing solution of A^T X + X A - X B B^T X + Q = 0.
 
-    Parameters
-    ----------
-    x_init : warm start (e.g. the solution on a smaller subspace), used when
-        its closed loop A - B B^T x_init is stable.  Otherwise the iteration
-        starts cold: from 0 when A is stable, else from the Bass start; if
-        neither exists, NoStabilizingGuess is raised.
-    tol : relative residual stopping tolerance.
-
-    MaxIterations is raised after NK_MAXIT iterations.  Q may be indefinite;
-    only a stabilizing start is required.
+    care_local_root from a stabilizing start: x_init (e.g. the solution on a
+    smaller subspace) when its closed loop A - B B^T x_init is stable, else 0
+    when A is stable, else the Bass start; if none exists, NoStabilizingGuess
+    is raised.  The backtracking Newton does not keep its iterates
+    stabilizing, so the root reached is checked and UnstableClosedLoop raised
+    when its closed loop is not stable.  tol and MaxIterations are those of
+    care_local_root.  Q may be indefinite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    Q = symmetrize(np.asarray(Q, dtype=float))
-    X = None
-    if x_init is not None:
-        X = symmetrize(np.asarray(x_init, dtype=float))
-        if not is_stable(A - B @ (B.T @ X)):
-            X = None
-    if X is None:
+    X = None if x_init is None else symmetrize(np.asarray(x_init, dtype=float))
+    if X is None or not is_stable(A - B @ (B.T @ X)):
         # both cold starts are stabilizing by construction
         X = np.zeros(A.shape) if is_stable(A) else _bass_stabilizing_start(A, B)
         if X is None:
             raise NoStabilizingGuess(
                 "A unstable, no stabilizing warm start, and Bass initialization failed"
             )
-    iters = 0
-    res = care_residual(A, B, Q, X)
-    while res > tol:
-        if iters >= NK_MAXIT:
-            raise MaxIterations(
-                f"Newton-Kleinman: residual {res:.3e} > {tol:.1e} after {NK_MAXIT} steps"
-            )
-        X = newton_kleinman_step(A, B, Q, X)
-        if not np.all(np.isfinite(X)):
-            raise SpectrumIncompatible("Newton-Kleinman produced non-finite iterate")
-        iters += 1
-        res = care_residual(A, B, Q, X)
+    X = care_local_root(A, B, Q, X, tol=tol)[0]
+    if not is_stable(A - B @ (B.T @ X)):
+        raise UnstableClosedLoop("CARE Newton reached a root that is not stabilizing")
     return X
 
 
@@ -210,6 +161,7 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None, forced=False):
     iteration coincides with Newton-Kleinman.  Raises MaxIterations when the
     residual cannot be reduced to tol within CARE_MAXIT iterations (in
     particular when the step equation has no symmetric solution at all).
+    solve_care is this iteration from a stabilizing start.
 
     factor, a SchurFactor of an earlier closed loop A - B B^T X_old (e.g. the
     previous time step's), turns on chord steps: an iteration first takes

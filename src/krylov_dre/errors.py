@@ -33,7 +33,7 @@ class SpectrumIncompatible(SolverError):
 
 
 class NoStabilizingGuess(SolverError):
-    """No stabilizing initial iterate is available for the Newton-Kleinman iteration."""
+    """No stabilizing start is available for the stabilizing CARE Newton (solve_care)."""
 
 
 class MaxIterations(SolverError):

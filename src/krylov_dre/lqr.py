@@ -161,14 +161,15 @@ def simulate_closed_loop(problem, schedule, x0, h_sim) -> SimulationResult:
 def steady_state(problem, tol=1e-10, handle=None):
     """Infinite-horizon solution of A^T X + X A - X BB^T X + C^T C = 0.
 
-    Dense Newton-Kleinman for n <= 200; beyond that, Galerkin projection on
-    the same extended Krylov subspaces as the trajectory solver, with the
-    projected equation solved densely (warm started across m) and the
-    coupling-block residual as the stop test.  Returns a factor Z with
-    X ~ Z Z^T, truncated at STEADY_DTOL, in both cases.  Raises
-    NotConverged when STEADY_M_MAX is hit or the basis breaks down before the
-    residual passes.  handle is the factorization of A when the caller has
-    it already, as for solve.
+    The stabilizing CARE Newton (solve_care) on the full equation for
+    n <= 200; beyond that, Galerkin projection on the same extended Krylov
+    subspaces as the trajectory solver, with the projected equation solved by
+    solve_care (warm started across m) and the coupling-block residual as the
+    stop test.  Returns a factor Z with X ~ Z Z^T, truncated at STEADY_DTOL,
+    in both cases.  Raises NotConverged when STEADY_M_MAX is hit or the basis
+    breaks down before the residual passes, and solve_care's errors as they
+    come.  handle is the factorization of A when the caller has it already,
+    as for solve.
     """
     n = problem.n
     B, C = problem.B, problem.C

@@ -27,7 +27,7 @@ from .errors import (
     NoStabilizingGuess,
     NotStabilizable,
     SingularBracket,
-    SpectrumIncompatible,
+    UnstableClosedLoop,
 )
 from .problem import SolverConfig
 
@@ -49,7 +49,7 @@ def oracle_data(problem):
         Xt = solve_care(A, B, C.T @ C, tol=1e-13)
     except MaxIterations:
         Xt = solve_care(A, B, C.T @ C, tol=1e-10)
-    except (NoStabilizingGuess, SpectrumIncompatible) as exc:
+    except (NoStabilizingGuess, UnstableClosedLoop) as exc:
         raise NotStabilizable(str(exc)) from exc
     At = A - B @ (B.T @ Xt)
     # solve At Z + Z At^T = B B^T  <=>  (At^T)^T Z + Z At^T - B B^T = 0

@@ -18,6 +18,25 @@ def dense_a(problem):
     return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
 
 
+def lyapunov_residual(F, Q, X):
+    """Relative residual ||F^T X + X F + Q||_F / (2 ||F||_F ||X||_F + ||Q||_F)."""
+    num = np.linalg.norm(F.T @ X + X @ F + Q, "fro")
+    den = 2.0 * np.linalg.norm(F, "fro") * np.linalg.norm(X, "fro") + np.linalg.norm(Q, "fro")
+    return num / max(den, 1e-300)
+
+
+def care_residual(A, B, Q, X):
+    """Relative residual of A^T X + X A - X B B^T X + Q = 0 at X."""
+    BtX = B.T @ X
+    R = A.T @ X + X @ A - BtX.T @ BtX + Q
+    den = (
+        np.linalg.norm(Q, "fro")
+        + 2.0 * np.linalg.norm(A, "fro") * np.linalg.norm(X, "fro")
+        + np.linalg.norm(BtX, "fro") ** 2
+    )
+    return np.linalg.norm(R, "fro") / max(den, 1e-300)
+
+
 @pytest.fixture(scope="session")
 def convdiff49():
     return gen_convdiff2d(7, seed=7, t_f=1.0)

@@ -18,13 +18,7 @@ from krylov_dre.baseline import solve_baseline
 from krylov_dre.bdf import bdf_coefficients, integrate
 from krylov_dre.benchmarks import gen_convdiff2d, gen_heat1d_fem, load_matrixmarket
 from krylov_dre.cli import cli_run
-from krylov_dre.dense import (
-    care_residual,
-    lyapunov_residual,
-    psd_factor,
-    solve_care,
-    solve_lyapunov,
-)
+from krylov_dre.dense import psd_factor, solve_care, solve_lyapunov
 from krylov_dre.lowrank import SignedFactor, signed_diff_fro
 from krylov_dre.lqr import (
     gain_schedule,
@@ -37,7 +31,7 @@ from krylov_dre.oracles import dense_reference_integrate, exact_solution
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
 from krylov_dre.solver import residual_estimate, solve
 
-from conftest import dense_a
+from conftest import care_residual, dense_a, lyapunov_residual
 
 
 def _report(num, name, runtime, budget, detail):

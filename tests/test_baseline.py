@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from krylov_dre import baseline
 from krylov_dre.baseline import (
@@ -12,7 +13,7 @@ from krylov_dre.baseline import (
 )
 from krylov_dre.bdf import bdf_coefficients
 from krylov_dre.benchmarks import gen_convdiff2d
-from krylov_dre.dense import solve_care, solve_lyapunov
+from krylov_dre.dense import solve_lyapunov
 from krylov_dre.errors import (MaxIterations, NoStabilizingGuess, NotConverged, StepFailure,
                                UnstableClosedLoop)
 from krylov_dre.lowrank import SignedFactor, signed_diff_fro
@@ -124,12 +125,12 @@ def test_newton_step_large_matches_dense_kernel():
     got = newton_step_large(X_p, s_handle, curly_b, pos, neg, lyap_tol=1e-12, m_max=60,
                             dtol=1e-13).to_dense()
 
-    # dense oracle: one Newton-Kleinman step on the assembled step CARE
-    from krylov_dre.dense import newton_kleinman_step
-
+    # dense oracle: one Kleinman step on the assembled step CARE, a Lyapunov
+    # equation with the closed loop at X_p and the constant X_p B B^T X_p + Q
     A_step = (h * coeffs.beta) * dense_a(problem) - 0.5 * np.eye(49)
     Q = pos @ pos.T - neg @ neg.T
-    expected = newton_kleinman_step(A_step, curly_b, Q, X_p.to_dense())
+    BtX = curly_b.T @ X_p.to_dense()
+    expected = solve_lyapunov(A_step - curly_b @ BtX, BtX.T @ BtX + Q)
     rel = np.linalg.norm(got - expected, "fro") / np.linalg.norm(expected, "fro")
     assert rel <= 1e-8
 
@@ -143,7 +144,7 @@ def test_newton_step_large_fixed_point():
     pos, neg = stacked_constant_factor(problem.C, hist, h, coeffs)
     A_step = (h * coeffs.beta) * dense_a(problem) - 0.5 * np.eye(25)
     Q = pos @ pos.T
-    X_star = solve_care(A_step, curly_b, Q, tol=1e-14)
+    X_star = sla.solve_continuous_are(A_step, curly_b, Q, np.eye(curly_b.shape[1]))
     lam, W = np.linalg.eigh(X_star)
     keep = lam > 1e-13 * lam.max()
     f_star = SignedFactor.from_psd(W[:, keep] * np.sqrt(lam[keep]))

@@ -98,14 +98,12 @@ def test_assembled_q_exactly_symmetric():
 
 
 def test_bdf_step_stationary_fixed_point():
-    from krylov_dre.dense import solve_care
-
     A = random_stable(4, seed=3)
     rng = np.random.default_rng(4)
     B = rng.standard_normal((4, 1))
     C = rng.standard_normal((1, 4))
     # stationary Y solves T Y + Y T^T - Y B B^T Y + C^T C = 0 with T = A^T
-    Y_star = solve_care(A, B, C.T @ C)
+    Y_star = sla.solve_continuous_are(A, B, C.T @ C, np.eye(1))
     traj = _steps(A.T, B, C, Y_star, 1e-2, 3)
     for Y in traj.ys[1:]:
         assert np.linalg.norm(Y - Y_star, "fro") <= 1e-10 * np.linalg.norm(Y_star, "fro")

@@ -17,7 +17,8 @@ from krylov_dre.benchmarks import gen_convdiff2d
 from krylov_dre.problem import SolverConfig
 
 DUMP = Path(__file__).resolve().parents[1] / "scripts" / "bitwise_dump.py"
-SOLVE_KEYS = {"m", "rank", "residual", "Z", "y_final", "samples", "step_stats", "trace"}
+SOLVE_KEYS = {"m", "rank", "residual", "breakdown", "Z", "y_final", "samples", "step_stats",
+              "trace"}
 
 
 def _load_dump(monkeypatch):
@@ -44,7 +45,7 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     sol = solver.solve(problem, config, sample_times=[0.0, 1.0])
     out = dump.solution(sol)
     assert set(out) == SOLVE_KEYS | {"V", "T"}
-    assert (out["m"], out["rank"]) == (sol.m, sol.rank)
+    assert (out["m"], out["rank"], out["breakdown"]) == (sol.m, sol.rank, sol.breakdown)
     assert float.fromhex(out["residual"]) == sol.residual.value
     assert all(map(_is_digest, [out[k] for k in ("Z", "y_final", "trace", "V", "T")]))
     assert len(out["samples"]) == 2 and all(map(_is_digest, out["samples"]))
@@ -54,6 +55,9 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     sol.Z = sol.Z.copy()
     sol.Z[0, 0] = np.nextafter(sol.Z[0, 0], np.inf)
     assert dump.solution(sol)["Z"] != out["Z"]
+    # so does the work count of one integration in the trace
+    sol.trace[-1].schur_factorizations += 1
+    assert dump.solution(sol)["trace"] != out["trace"]
 
     base = dump.solution(baseline.solve_baseline(problem, config))
     assert set(base) == SOLVE_KEYS and base["residual"] is None

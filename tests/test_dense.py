@@ -9,16 +9,14 @@ from krylov_dre.dense import (
     SchurFactor,
     _schur_eigenvalues,
     care_local_root,
-    care_residual,
-    lyapunov_residual,
-    newton_kleinman_step,
     solve_care,
     psd_factor,
     solve_lyapunov,
 )
-from krylov_dre.errors import MaxIterations, NoStabilizingGuess, SpectrumIncompatible
+from krylov_dre.errors import (MaxIterations, NoStabilizingGuess, SpectrumIncompatible,
+                               UnstableClosedLoop)
 
-from conftest import random_stable
+from conftest import care_residual, lyapunov_residual, random_stable
 
 
 # ---------------------------------------------------------------- Lyapunov
@@ -94,40 +92,29 @@ def test_care_stabilizing_and_residual():
     assert np.linalg.eigvals(cl).real.max() < 0.0
 
 
-def test_newton_step_scalar_hand_value():
-    # a=0, b=1, q=1 from x0=2: next iterate (x0^2+1)/(2 x0) = 1.25
-    x1 = newton_kleinman_step(
-        np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[2.0]])
-    )
-    assert x1[0, 0] == pytest.approx(1.25, abs=1e-14)
-
-
-def test_newton_step_stationary_at_solution():
-    A = random_stable(4, seed=8)
-    rng = np.random.default_rng(9)
-    B = rng.standard_normal((4, 1))
-    Q = np.eye(4)
-    X = solve_care(A, B, Q)
-    X1 = newton_kleinman_step(A, B, Q, X)
-    assert np.allclose(X1, X, atol=1e-11)
-
-
-def test_newton_quadratic_convergence():
+def test_newton_quadratic_convergence(monkeypatch):
     A = random_stable(6, seed=31)
     rng = np.random.default_rng(32)
     B = rng.standard_normal((6, 2))
     C = rng.standard_normal((2, 6))
     Q = C.T @ C
-    X_star = solve_care(A, B, Q, tol=1e-14)
-    X = np.zeros((6, 6))
-    errs = []
-    for _ in range(8):
-        X = newton_kleinman_step(A, B, Q, X)
-        errs.append(np.linalg.norm(X - X_star, "fro"))
-    errs = np.array(errs)
-    # monotone decrease after the first step and at least one clearly
-    # quadratic contraction in the tail
-    assert np.all(np.diff(errs[1:5]) < 0)
+    X_star = sla.solve_continuous_are(A, B, Q, np.eye(2))
+    # each Newton step factors the closed loop A - B B^T X_i of its iterate
+    loops = []
+
+    class Recording(SchurFactor):
+        def __init__(self, F):
+            loops.append(F)
+            super().__init__(F)
+
+    monkeypatch.setattr(dense, "SchurFactor", Recording)
+    X, info = care_local_root(A, B, Q, x_start=np.zeros((6, 6)), tol=1e-14)
+    assert info["iterations"] == 5 and info["residual"] <= 1e-14
+    assert np.linalg.norm(X - X_star) <= 1e-12 * np.linalg.norm(X_star)
+    # ||B B^T (X_i - X*)||, monotone after the first step, with at least one
+    # clearly quadratic contraction in the tail
+    errs = np.array([np.linalg.norm(F - (A - B @ (B.T @ X_star))) for F in loops])
+    assert np.all(np.diff(errs[1:]) < 0)
     tail = errs[errs > 1e-13]
     ratios = tail[1:] / tail[:-1] ** 2
     assert ratios.min() < 10.0
@@ -153,18 +140,30 @@ def test_care_max_iterations(monkeypatch):
     A = random_stable(4, seed=41)
     rng = np.random.default_rng(42)
     B = rng.standard_normal((4, 1))
-    monkeypatch.setattr(dense, "NK_MAXIT", 1)
+    monkeypatch.setattr(dense, "CARE_MAXIT", 1)
     with pytest.raises(MaxIterations, match="after 1 steps"):
         solve_care(A, B, np.eye(4), tol=1e-15)
 
 
-def test_care_local_root_matches_strict_solver():
+def test_care_non_stabilizing_root_raises(monkeypatch):
+    # a = b = 1, q = 0 has the roots 0 (closed loop +1) and 2 (closed loop -1);
+    # the Bass start is stabilizing, so only the check of the root catches 0
+    monkeypatch.setattr(dense, "care_local_root", lambda A, B, Q, X, tol: (0.0 * X, {}))
+    with pytest.raises(UnstableClosedLoop):
+        solve_care(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]))
+
+
+def _care_5x5():
+    """A, B, Q and the stabilizing root from scipy, independent of care_local_root."""
     A = random_stable(5, seed=51)
     rng = np.random.default_rng(52)
     B = rng.standard_normal((5, 2))
     C = rng.standard_normal((2, 5))
-    Q = C.T @ C
-    X_strict = solve_care(A, B, Q)
+    return A, B, C.T @ C, sla.solve_continuous_are(A, B, C.T @ C, np.eye(2))
+
+
+def test_care_local_root_matches_strict_solver():
+    A, B, Q, X_strict = _care_5x5()
     X_local, _ = care_local_root(A, B, Q, x_start=X_strict + 1e-3 * np.eye(5))
     assert np.allclose(X_local, X_strict, atol=1e-9)
 
@@ -185,19 +184,11 @@ def test_care_local_root_no_root_raises_with_factor():
         care_local_root(A, B, Q, x_start=np.zeros((1, 1)), factor=SchurFactor(A))
 
 
-def _care_5x5():
-    A = random_stable(5, seed=51)
-    rng = np.random.default_rng(52)
-    B = rng.standard_normal((5, 2))
-    C = rng.standard_normal((2, 5))
-    return A, B, C.T @ C
-
-
 def test_care_local_root_forced_iteration_at_a_root():
     # a start that already passes the stop test (the root, to roundoff)
     # takes one iteration when forced, and the test still passes after it
-    A, B, Q = _care_5x5()
-    X_root, info = care_local_root(A, B, Q, x_start=solve_care(A, B, Q, tol=1e-15))
+    A, B, Q, X_ref = _care_5x5()
+    X_root, info = care_local_root(A, B, Q, x_start=X_ref)
     assert info["iterations"] == 0
     X, forced = care_local_root(A, B, Q, x_start=X_root, forced=True)
     assert forced["iterations"] == 1 and forced["residual"] <= 1e-12
@@ -205,8 +196,7 @@ def test_care_local_root_forced_iteration_at_a_root():
 
 
 def test_care_local_root_stale_factor_same_root():
-    A, B, Q = _care_5x5()
-    X_root = solve_care(A, B, Q)
+    A, B, Q, X_root = _care_5x5()
     start = X_root + 1e-3 * np.eye(5)
     tol = 1e-12
     X_plain, plain = care_local_root(A, B, Q, x_start=start, tol=tol)
@@ -221,8 +211,7 @@ def test_care_local_root_stale_factor_same_root():
 
 
 def test_care_local_root_fresh_factor_needs_no_factorization():
-    A, B, Q = _care_5x5()
-    X_root = solve_care(A, B, Q)
+    A, B, Q, X_root = _care_5x5()
     start = X_root + 1e-6 * np.eye(5)
     factor = SchurFactor(A - B @ (B.T @ X_root))
     X, info = care_local_root(A, B, Q, x_start=start, tol=1e-12, factor=factor)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from krylov_dre import dense
+from krylov_dre.errors import NotStabilizable
 from krylov_dre.oracles import (
     dense_reference_integrate,
     exact_solution,
@@ -64,6 +66,16 @@ def test_oracle_data_properties():
     assert np.linalg.norm(res, "fro") <= 1e-10 * max(np.linalg.norm(Xt), 1)
     lyap = At @ Zt + Zt @ At.T - problem.B @ problem.B.T
     assert np.linalg.norm(lyap, "fro") <= 1e-10 * max(np.linalg.norm(Zt), 1)
+
+
+def test_oracle_data_non_stabilizing_root_is_not_stabilizable(monkeypatch):
+    # a = b = 1, c = 0: a Newton that ends at the root 0 (closed loop +1)
+    # instead of 2 leaves no stabilizing solution for the closed form
+    monkeypatch.setattr(dense, "care_local_root", lambda A, B, Q, X, tol: (0.0 * X, {}))
+    problem = DREProblem(A=np.array([[1.0]]), B=np.array([[1.0]]), C=np.array([[0.0]]),
+                         Z0=np.array([[1.0]]), t_f=1.0)
+    with pytest.raises(NotStabilizable):
+        oracle_data(problem)
 
 
 def test_cross_oracle_agreement():
