@@ -256,6 +256,9 @@ def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
     D curly_b curly_b^T D with D = X_{p+1} - X_p, whose norm is computable
     from the factors.  trace holds one record per step (m is the step
     index), and step_stats the per-step log of march without Schur counts.
+    A step's residual (trace, care_residuals) is its stop bound (||D curly_b||^2
+    + 2 lyap_tol) / scale with lyap_tol = care_tol * scale / 4: never below
+    care_tol / 2, however far below the bound the step landed.
     """
     config.validate()
     h = config.h

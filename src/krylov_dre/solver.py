@@ -35,7 +35,8 @@ SCREEN_STEPS = 20
 WARM_STEPS = 2
 # A screen residual within SCREEN_SAFETY * tol ends screening at m.  On
 # convdiff2d the screen matches the configured residual to 3 digits; on
-# heat1d it overestimates it, by up to 4x.
+# heat1d it overestimates it, by up to 4.29x at the returned m.  A larger
+# overestimate can pass over the first passing order; a higher one is returned.
 SCREEN_SAFETY = 4.0
 
 
@@ -169,22 +170,19 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     The spaces are nested, so a screen's first WARM_STEPS steps start their
     CARE from the previous order's screen iterates padded with zeros;
     configured runs always start from their own history.  The first m whose
-    screen residual is within SCREEN_SAFETY * tol ends screening and gets
-    the configured check, as does every later m, a screen that raises
-    StepFailure and the last m.  Each order has at most one screen and at
-    most one configured check, on the nested slices of the basis
-    (basis.truncated), and the result is the lowest order of the passing
-    run, walking down from the first pass.  So the returned m is the first
-    one whose configured residual passes whenever the passing orders are
-    contiguous, and it is integrated exactly as without the screen.
+    screen residual is within SCREEN_SAFETY * tol ends screening; from there
+    on, in one upward pass, each order gets the configured check until one
+    passes.  A screen that raises StepFailure and the last m get it too.  So
+    the result is the first passing order at or above the candidate,
+    integrated exactly as without the screen; it is the unscreened answer
+    whenever the screen at that order is within SCREEN_SAFETY * tol.
 
     Breakdown of the Arnoldi process ends the loop: the returned solution is
     flagged when the residual passes there (exactly 0 for an invariant
     subspace).  Raises NotConverged, with the last configured residual, when
     m_max is hit or the basis breaks down before the residual passes, so
     every returned factor is certified.  The trace holds one record per
-    integration, in order, except that the returned check's record comes
-    last; the returned basis is cut to the returned m.
+    integration, in order; the last is the returned check's.
 
     sample_times requests factored snapshots X(t) ~ Z_t Z_t^T along the
     converged trajectory, returned in LowRankSolution.samples.
@@ -197,18 +195,16 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
         warm_times = screen.h * np.arange(1, WARM_STEPS + 1)
     starts = None     # the last screen's iterates at steps 1..WARM_STEPS
     trace = []
-    configured = {}   # order -> (row, outcome) of its configured check
     t0 = time.perf_counter()
 
-    def check(m, cfg, last=False):
-        """Integrate at order m with cfg and record it: (row, outcome).
+    def check(cfg, last=False):
+        """Integrate at the basis's order with cfg and record it: (row, outcome).
 
-        outcome is (basis cut to m, trajectory, estimate, psd factor), or None
-        after a StepFailure, which is raised at the last m.
+        outcome is (trajectory, estimate, psd factor), or None after a
+        StepFailure, which is raised at the last m.
         """
-        cut = basis.truncated(m)
-        T_m, B_m, C_m = arnoldi.projected_matrices(cut, problem.B)
-        Y0 = _project_initial(cut, problem.Z0)
+        T_m, B_m, C_m = arnoldi.projected_matrices(basis, problem.B)
+        Y0 = _project_initial(basis, problem.Z0)
         screening = cfg is not config
         t_int = time.perf_counter()
         try:
@@ -226,13 +222,13 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
         if traj is None:
             outcome, residual, rank, stats = None, np.inf, 0, (0, 0, 0)
         else:
-            est = residual_estimate(cut, traj.final)
+            est = residual_estimate(basis, traj.final)
             psd = psd_factor(traj.final, config.dtol)
-            outcome, residual, rank = (cut, traj, est, psd), est.value, psd[0].shape[1]
+            outcome, residual, rank = (traj, est, psd), est.value, psd[0].shape[1]
             stats = (sum(traj.schur_factorizations), traj.euler_retakes,
                      traj.stationary_steps)
         row = ConvergenceRecord(
-            m=m, residual=residual, rank=rank, matvecs=handle.matvecs,
+            m=basis.order, residual=residual, rank=rank, matvecs=handle.matvecs,
             solves=handle.solves, seconds=time.perf_counter() - t0, screen=screening,
             skipped=outcome is None, integrate_s=integrate_s, schur_factorizations=stats[0],
             euler_retakes=stats[1], stationary_steps=stats[2],
@@ -240,41 +236,28 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
         trace.append(row)
         return row, outcome
 
-    def passes(m, last=False):
-        """Whether the configured check at m passes; each order runs it once."""
-        if m not in configured:
-            configured[m] = check(m, config, last)
-        return configured[m][0].residual < config.tol
-
-    def lowest(m):
-        """The configured check of the lowest order in the passing run down from m."""
-        while m > 1 and passes(m - 1):
-            m -= 1
-        return configured[m]
-
     for basis, last in krylov_orders(problem, handle, config.m_max):
-        m = basis.order
         if screen is not None and not last:
-            row, outcome = check(m, screen)
+            row, outcome = check(screen)
             starts = None
             if outcome is not None:
-                starts = outcome[1].ys[1:WARM_STEPS + 1]
+                starts = outcome[0].ys[1:WARM_STEPS + 1]
                 if not row.residual <= SCREEN_SAFETY * config.tol:
                     continue
                 # the first passing screen ends screening, whatever m's check gives
                 screen = None
-        if passes(m, last):
-            found = lowest(m)
+        row, outcome = check(config, last)
+        if row.residual < config.tol:
             break
     else:
         raise NotConverged(basis.order, trace[-1].residual, breakdown=basis.breakdown)
 
-    row, (cut, traj, est, psd) = found
-    sol = extract_factor(cut, traj.final, config.dtol, residual=est, psd=psd)
-    sol.trace = [r for r in trace if r is not row] + [row]
+    traj, est, psd = outcome
+    sol = extract_factor(basis, traj.final, config.dtol, residual=est, psd=psd)
+    sol.trace = trace
     sol.step_stats = traj.step_stats(config.h)
     if sample_times is not None:
-        sol.samples = _factor_samples(cut, traj, config.dtol)
+        sol.samples = _factor_samples(basis, traj, config.dtol)
     return sol
 
 

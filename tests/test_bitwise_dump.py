@@ -18,7 +18,7 @@ from krylov_dre.problem import SolverConfig
 
 DUMP = Path(__file__).resolve().parents[1] / "scripts" / "bitwise_dump.py"
 SOLVE_KEYS = {"m", "rank", "residual", "breakdown", "Z", "y_final", "samples", "step_stats",
-              "trace"}
+              "trace", "configured"}
 
 
 def _load_dump(monkeypatch):
@@ -47,6 +47,7 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     assert set(out) == SOLVE_KEYS | {"V", "T"}
     assert (out["m"], out["rank"], out["breakdown"]) == (sol.m, sol.rank, sol.breakdown)
     assert float.fromhex(out["residual"]) == sol.residual.value
+    assert out["configured"] == [r.m for r in sol.trace if not r.screen]
     assert all(map(_is_digest, [out[k] for k in ("Z", "y_final", "trace", "V", "T")]))
     assert len(out["samples"]) == 2 and all(map(_is_digest, out["samples"]))
     assert set(out["step_stats"]) == set(sol.step_stats)
