@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -307,6 +309,19 @@ def _configured_orders(sol):
     return [r.m for r in sol.trace if not r.screen]
 
 
+def _report_screens_non_stationary(monkeypatch, config):
+    """Zero every screen's stationary_steps, so that solve compares each screen
+    with SCREEN_SAFETY * tol, as it does on heat1d, and a convdiff screen can
+    steer the candidate through SCREEN_SAFETY."""
+    def screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None, starts=None):
+        traj = integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times, starts=starts)
+        if cfg is not config:
+            traj.stationary_steps = 0
+        return traj
+
+    monkeypatch.setattr(solver, "integrate", screen)
+
+
 @pytest.mark.parametrize("name", sorted(SCREEN_CASES))
 def test_screened_solve_equals_unscreened(screen_cases, name):
     problem, config, samples, ref = screen_cases[name]
@@ -322,7 +337,8 @@ def test_screened_solve_equals_unscreened(screen_cases, name):
 
 
 def test_early_screen_candidate_walks_up(screen_cases, monkeypatch):
-    problem, config, samples, ref = screen_cases["convdiff-n100"]
+    # heat1d screens never go stationary, so SCREEN_SAFETY steers the candidate
+    problem, config, samples, ref = screen_cases["heat1d-n400"]
     monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e6)
     sol = solve(problem, config, sample_times=samples)
     _assert_same_solution(sol, ref)
@@ -338,6 +354,7 @@ def test_late_screen_candidate_is_returned(screen_cases, monkeypatch, name, cand
     # screening to far below tol passes over the first passing order; the
     # candidate's own configured check passes and is returned
     problem, config, samples, ref = screen_cases[name]
+    _report_screens_non_stationary(monkeypatch, config)
     monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e-3)
     sol = solve(problem, config, sample_times=samples)
     assert candidate > ref.m
@@ -353,20 +370,18 @@ def test_late_screen_candidate_is_returned(screen_cases, monkeypatch, name, cand
     assert np.array_equal(cut.V, ref.basis.V) and np.array_equal(cut.T, ref.basis.T)
 
 
-# (SCREEN_SAFETY, order whose screen fails, the rows after its configured
-# check, last screened order, configured orders): at 3 the configured check
-# fails and screening goes on to the unscreened answer; at 11 it passes and
-# m=11 is returned.
-@pytest.mark.parametrize("safety, failing, following, screened, configured", [
-    (solver.SCREEN_SAFETY, 3, [(4, True, False)], 9, [3, 9]),
-    (1e-3, 11, [], 11, [11]),
+# (order whose screen fails, the rows after its configured check, last
+# screened order, configured orders): at 3 the configured check fails and
+# screening goes on to the unscreened answer; at 9, the unscreened answer, it
+# passes and is returned.
+@pytest.mark.parametrize("failing, following, screened, configured", [
+    (3, [(4, True, False)], 9, [3, 9]),
+    (9, [], 9, [9]),
 ], ids=["configured-fails", "configured-passes"])
-def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkeypatch, safety,
-                                                            failing, following, screened,
-                                                            configured):
+def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkeypatch, failing,
+                                                            following, screened, configured):
     problem, config, samples, ref = screen_cases["convdiff-n100"]
     w = 2 * problem.s
-    monkeypatch.setattr(solver, "SCREEN_SAFETY", safety)
 
     def failing_screen(T, B_m, C_m, Y0, t_f, cfg, sample_times=None, starts=None):
         if cfg is not config and T.shape[0] == failing * w:
@@ -413,6 +428,7 @@ def test_warm_screens_match_cold_screens(screen_cases, monkeypatch, name):
     # screening to far below tol reaches the orders whose padded start passes
     # the step CARE's stop test; a warm screen must not read 0 there
     problem, config, samples, _ = screen_cases[name]
+    _report_screens_non_stationary(monkeypatch, config)
     monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e-3)
     warm = solve(problem, config, sample_times=samples)
     monkeypatch.setattr(solver, "WARM_STEPS", 0)
@@ -432,6 +448,7 @@ def test_warm_screens_match_cold_screens(screen_cases, monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(SCREEN_CASES))
 def test_failing_candidate_walks_up_without_lower_check(screen_cases, monkeypatch, name):
     problem, config, samples, ref = screen_cases[name]
+    _report_screens_non_stationary(monkeypatch, config)
     monkeypatch.setattr(solver, "SCREEN_SAFETY", 1e-3)
     screens = {r.m: r.residual for r in solve(problem, config, sample_times=samples).trace
                if r.screen}
@@ -443,6 +460,44 @@ def test_failing_candidate_walks_up_without_lower_check(screen_cases, monkeypatc
     assert candidate == sol.m - 1
     # no configured check below the candidate
     assert _configured_orders(sol) == [candidate, sol.m]
+
+
+def test_stationary_screen_above_tol_gets_no_check(screen_cases):
+    # with tol between the configured residuals at m - 1 and m, the screen at
+    # m - 1 reads within SCREEN_SAFETY * tol but above tol; it is stationary,
+    # so it stands for its order's failing configured check
+    problem, config, samples, ref = screen_cases["convdiff-n100"]
+    configured = {r.m: r.residual for r in ref.trace}
+    config = replace(config, tol=configured[ref.m - 1] / 2)
+    assert configured[ref.m] < config.tol
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, _unscreened(problem, config, samples))
+    below = [r for r in sol.trace if r.m == sol.m - 1]
+    assert len(below) == 1 and below[0].screen and below[0].stationary_steps > 0
+    assert config.tol < below[0].residual <= solver.SCREEN_SAFETY * config.tol
+    assert _configured_orders(sol) == [sol.m]
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_CASES) + ["convdiff-n225", "convdiff-n400"])
+def test_stationary_screens_read_the_configured_residual(screen_cases, name):
+    # a stationary screen ends at the projected CARE root, as the configured
+    # run does; heat1d screens (t_f=1) never get there
+    if name in screen_cases:
+        problem, config, samples, ref = screen_cases[name]
+    else:
+        n0 = {"convdiff-n225": 15, "convdiff-n400": 20}[name]
+        problem = gen_convdiff2d(n0, seed=11, t_f=1.0)
+        config, samples = SCREEN_CASES["convdiff-n100"][1:]
+        ref = _unscreened(problem, config, samples)
+    configured = {r.m: r.residual for r in ref.trace}
+    screens = [r for r in solve(problem, config, sample_times=samples).trace if r.screen]
+    stationary = [r for r in screens if r.stationary_steps > 0]
+    if name.startswith("heat1d"):
+        assert screens and not stationary
+    else:
+        assert stationary == screens
+    for r in stationary:
+        assert abs(r.residual - configured[r.m]) <= 1e-3 * configured[r.m]
 
 
 
