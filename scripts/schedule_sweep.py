@@ -4,11 +4,13 @@
     python scripts/schedule_sweep.py > sweep.txt
 
 Solves each case with solver.solve and prints one line per case: its label,
-the returned m, the orders that got a configured BDF(p) run, and the digests
-of Z and y_final (bitwise_dump.digest), or the error's type and message.  A
-last line counts the cases and configured runs.  Run it in two checkouts and
-diff the outputs: equal case lines mean the same m and the same bits, and the
-configured orders show which checks a schedule change adds or drops.  Like
+the returned m, the factor's rank, the residual (float.hex), the orders that
+got a configured BDF(p) run, and the digests of Z and y_final
+(bitwise_dump.digest), or the error's type and message.  A last line counts
+the cases and configured runs.  Run it in two checkouts and diff the outputs:
+equal case lines mean the same m and the same bits, the configured orders
+show which checks a schedule change adds or drops, and the residuals show how
+far a change that moves bits moved the certificate.  Like
 bitwise_dump.py it imports krylov_dre from the src/ of its own checkout and
 pins BLAS to one thread.
 
@@ -66,7 +68,8 @@ def run_case(make, config):
         sol = solver.solve(make(), config)
     except SolverError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
-    return {"m": sol.m, "configured": [r.m for r in sol.trace if not r.screen],
+    return {"m": sol.m, "rank": sol.rank, "residual": sol.residual.value.hex(),
+            "configured": [r.m for r in sol.trace if not r.screen],
             "Z": digest(sol.Z), "y_final": digest(sol.y_final)}
 
 

@@ -122,16 +122,12 @@ _BDF_LOG = (("orders", "order"), ("newton_iters", "newton_iterations"),
 def cmd_solve(args, out, problem, config):
     sample_times = np.linspace(0.0, problem.t_f, args.samples) if args.samples > 1 else None
     t0 = time.perf_counter()
-    kwargs = {"sample_times": sample_times}
-    if getattr(args, "arnoldi_diagnostics", False):
-        # the diagnostics reuse the solve's factorization
-        kwargs["handle"] = factorize(problem.A)
-    sol = SOLVERS[args.command](problem, config, **kwargs)
+    sol = SOLVERS[args.command](problem, config, sample_times=sample_times)
     wall = time.perf_counter() - t0
-    if "handle" in kwargs:
+    if getattr(args, "arnoldi_diagnostics", False):
         _write_csv(out / "eba_diagnostics.csv",
                    ["m", "orthonormality_deviation", "relation_residual"],
-                   _arnoldi.diagnostics_history(sol.basis, kwargs["handle"]))
+                   _arnoldi.diagnostics_history(sol.basis))
     _write_csv(out / "convergence.csv",
                ["m", "residual", "rank", "matvecs", "solves", "seconds", "screen", "skipped",
                 "integrate_s", "schur_factorizations", "euler_retakes", "stationary_steps"],

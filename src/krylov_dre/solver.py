@@ -2,12 +2,14 @@
 
 For m = 1, 2, ... the basis of K^e_m(A^T, C^T) is grown, the projected DRE is
 integrated on [0, t_f], and the residual norm of the full equation at the
-final time is obtained from the coupling block alone:
+final time is obtained from the coupling row of T alone:
 
-    ||R_m(t_f)|| = ||T_{m+1,m} Yhat_m(t_f)||,
+    ||R_m(t_f)|| = ||T_{m+1,1:m} Y_m(t_f)||,
 
-with Yhat_m the last 2s rows of Y_m(t_f).  No n-dimensional product is formed
-until the factor of the returned solution is assembled.
+which is the paper's ||T_{m+1,m} Yhat_m(t_f)|| in exact arithmetic, with
+Yhat_m the last 2s rows of Y_m(t_f): the rest of the row vanishes there.  No
+n-dimensional product is formed until the factor of the returned solution is
+assembled.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ SCREEN_SAFETY = 4.0
 
 @dataclass
 class ResidualEstimate:
-    """||T_{m+1,m} Yhat_m||_2 with the coupling block; 0 on clean breakdown."""
+    """||T_{m+1,1:m} Y_m||_2 with the coupling row; 0 on clean breakdown."""
 
     value: float
 
@@ -96,21 +98,13 @@ class LowRankSolution:
 
 
 def residual_estimate(basis, y_final) -> ResidualEstimate:
-    """Cheap residual norm of the full DRE at the final time.
+    """Cheap residual norm of the full DRE at the final time: basis.residual_norm.
 
     Exact for the trajectory satisfying the projected equation; at the
     discrete level it matches the BDF-defect residual up to the per-step CARE
-    tolerance.  After a clean breakdown the subspace is invariant and the
-    value is exactly 0; a partially deficient final block contributes its
-    orthogonal remainder instead, so the estimate never understates.
+    tolerance.
     """
-    y_hat = np.asarray(y_final)[-basis.w:, :]
-    T_sub = basis.t_coupling()
-    if T_sub is None:
-        T_sub = basis.residual_block
-        if T_sub is None or np.linalg.norm(T_sub, 2) <= 1e-12 * max(basis.residual_scale, 1e-300):
-            return ResidualEstimate(value=0.0)
-    return ResidualEstimate(value=float(np.linalg.norm(T_sub @ y_hat, 2)))
+    return ResidualEstimate(value=basis.residual_norm(np.asarray(y_final)))
 
 
 def extract_factor(basis, y_final, dtol, residual=None, psd=None) -> LowRankSolution:

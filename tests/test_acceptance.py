@@ -231,7 +231,7 @@ def test_criterion_9_property_suites(tmp_path):
                 arnoldi.expand(basis, handle)
             except Exception:
                 break
-        for m, dev, rel in arnoldi.diagnostics_history(basis, handle):
+        for m, dev, rel in arnoldi.diagnostics_history(basis):
             worst_dev, worst_rel = max(worst_dev, dev), max(worst_rel, rel)
     assert worst_dev <= 1e-10 and worst_rel <= 1e-10
 

@@ -71,22 +71,38 @@ def test_arnoldi_relation_every_iteration():
     for _ in range(6):
         arnoldi.expand(basis, handle)
         assert arnoldi.orthonormality_deviation(basis) <= 1e-10
-        assert arnoldi.relation_residual(basis, handle) <= 1e-10
+        assert arnoldi.relation_residual(basis) <= 1e-10
 
 
-def test_t_block_hessenberg_structural_zeros():
+def _galerkin_defect(basis, handle):
+    """||T - V^T A^T V_m||_F / ||T||_F over all of T, coupling row included."""
+    exact = basis.V.T @ handle.apply_t(basis.basis_matrix())
+    return np.linalg.norm(basis.T - exact) / np.linalg.norm(basis.T)
+
+
+def test_t_is_galerkin_matrix_every_order():
+    # the blocks below the first subdiagonal vanish only in exact
+    # arithmetic; T must hold V^T A^T V there too, not structural zeros
     problem, handle = _cd49()
     basis = arnoldi.seed(handle, problem.C)
-    for _ in range(5):
+    for _ in range(10):
         arnoldi.expand(basis, handle)
-    w = basis.w
-    m = basis.order
-    T = basis.t_square()
-    for i in range(m):
-        for j in range(m):
-            if i > j + 1:
-                block = T[i * w:(i + 1) * w, j * w:(j + 1) * w]
-                assert np.all(block == 0.0)
+        assert _galerkin_defect(basis, handle) <= 1e-14
+        # t_square() and the coupling row are the two parts of that T
+        k = basis.order * basis.w
+        assert np.array_equal(basis.t_square(), basis.T[:k])
+        assert np.array_equal(basis.t_coupling(), basis.T[k:])
+    for m in range(1, basis.order):
+        assert _galerkin_defect(basis.truncated(m), handle) <= 1e-14
+    # n = 16: the fourth expansion breaks down and T is square
+    problem = gen_convdiff2d(4, seed=1)
+    handle = factorize(problem.A)
+    basis = arnoldi.seed(handle, problem.C)
+    with pytest.raises(Breakdown):
+        for _ in range(5):
+            arnoldi.expand(basis, handle)
+    assert basis.T.shape == (16, 16) and basis.t_coupling() is None
+    assert _galerkin_defect(basis, handle) <= 1e-14
 
 
 def test_subspace_nesting_append_only():
@@ -138,7 +154,7 @@ def test_diagnostics_history(convdiff49):
     basis = arnoldi.seed(handle, convdiff49.C)
     for _ in range(4):
         arnoldi.expand(basis, handle)
-    rows = arnoldi.diagnostics_history(basis, handle)
+    rows = arnoldi.diagnostics_history(basis)
     assert [r[0] for r in rows] == [1, 2, 3, 4]
     assert all(r[1] <= 1e-10 and r[2] <= 1e-10 for r in rows)
 
@@ -153,6 +169,6 @@ def test_diagnostics_history_after_breakdown():
             arnoldi.expand(basis, handle)
     assert basis.breakdown and basis.order == 4
     assert basis.truncated(basis.order) is basis
-    rows = arnoldi.diagnostics_history(basis, handle)
+    rows = arnoldi.diagnostics_history(basis)
     assert [r[0] for r in rows] == [1, 2, 3, 4]
     assert all(r[1] <= 1e-10 and r[2] <= 1e-10 for r in rows)

@@ -42,7 +42,8 @@ def test_schedule_sweep_prints_m_configured_orders_and_digests(monkeypatch, caps
         sol = solver.solve(make(), config)
         configured = [r.m for r in sol.trace if not r.screen]
         runs += len(configured)
-        expected.append(f"{label} m={sol.m} configured={configured} "
+        expected.append(f"{label} m={sol.m} rank={sol.rank} "
+                        f"residual={sol.residual.value.hex()} configured={configured} "
                         f"Z={sweep.digest(sol.Z)} y_final={sweep.digest(sol.y_final)}")
     assert lines == expected + [f"2 cases, {runs} configured runs, 0 errors"]
     # a failed solve is reported by its error

@@ -9,6 +9,7 @@ from krylov_dre import arnoldi, solver
 from krylov_dre.benchmarks import gen_convdiff2d, gen_heat1d_fem
 from krylov_dre.bdf import bdf_coefficients, integrate
 from krylov_dre.errors import IndefiniteY, NotConverged, StepFailure
+from krylov_dre.oracles import dense_reference_integrate
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
 from krylov_dre.solver import extract_factor, krylov_orders, residual_estimate, solve
 
@@ -108,13 +109,12 @@ def test_galerkin_condition_discrete(solved49_with_tail):
 
 
 def test_perturbed_equation_identity(solved49_with_tail, convdiff49):
-    # with F = V_m T_sub^T V_{m+1}^T the defect of the perturbed equation
-    # collapses to the projected defect
+    # with F = V_m T_{m+1,1:m}^T V_{m+1}^T, the whole coupling row, the
+    # defect of the perturbed equation collapses to the projected defect
     sol = solved49_with_tail
     basis = sol.basis
     R = sol._galerkin_R
-    m = basis.order
-    F = basis.block(m - 1) @ basis.t_coupling().T @ basis.block(m).T
+    F = basis.basis_matrix() @ basis.t_coupling().T @ basis.block(basis.order).T
     X_new = sol.tail_xs[-1]
     defect2 = R + F.T @ X_new + X_new @ F
     assert np.linalg.norm(defect2, 2) <= 1e-9
@@ -194,6 +194,18 @@ def test_partial_breakdown_raises_not_converged():
         solve(problem, config)
     assert info.value.breakdown and info.value.m_max == 6
     assert 1e-8 < info.value.last_residual < 1e-6
+
+
+def test_breakdown_certificate_holds_against_dense_reference():
+    # breakdown at m=25 certifies 0.0, which holds only if T is V^T A^T V to
+    # roundoff in every block: the blocks below the first subdiagonal vanish
+    # in exact arithmetic, and leaving them 0 put X 1.0e-3 off the reference
+    problem = gen_convdiff2d(10, seed=3, t_f=0.01)
+    config = SolverConfig(p=1, h=1e-3, tol=1e-6, m_max=30)
+    sol = solve(problem, config)
+    assert sol.breakdown and sol.m == 25 and sol.residual.value == 0.0
+    X = dense_reference_integrate(problem, config.h, [problem.t_f], p=1)[0]
+    assert np.linalg.norm(sol.to_dense() - X, 2) <= 1e-10 * np.linalg.norm(X, 2)
 
 
 def test_trace_rank_is_factor_rank(solved49):
