@@ -11,8 +11,9 @@ The benchmark problems and configs come from perfbench/workloads.py.
 Per solve it covers m, rank, the residual (float.hex), the breakdown flag, Z,
 y_final, each sample, each step_stats entry, the trace rows (m, residual,
 rank, screen, skipped, schur_factorizations, euler_retakes, stationary_steps),
-the orders of the configured integrations in plain text (so a trace-digest
-change can be read without a rerun) and the returned basis's V and T; per
+the root screens (m, residual, transient, accepted), the orders of the
+configured integrations and of the accepted root screens in plain text (so a
+digest change can be read without a rerun) and the returned basis's V and T; per
 steady state the factor or the error's type and message; per oracle the exact
 and the reference matrices.
 """
@@ -69,7 +70,10 @@ def solution(sol):
         "step_stats": {k: digest(v) for k, v in sol.step_stats.items()},
         "trace": digest([(r.m, r.residual, r.rank, r.screen, r.skipped, r.schur_factorizations,
                           r.euler_retakes, r.stationary_steps) for r in sol.trace]),
+        "root_screens": digest([(r.m, r.residual, r.transient, r.accepted)
+                                for r in sol.root_screens]),
         "configured": [r.m for r in sol.trace if not r.screen],
+        "root_screened": [r.m for r in sol.root_screens if r.accepted],
     }
     if sol.basis is not None:
         out.update(V=digest(sol.basis.V), T=digest(sol.basis.T))

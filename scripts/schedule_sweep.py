@@ -5,14 +5,17 @@
 
 Solves each case with solver.solve and prints one line per case: its label,
 the returned m, the factor's rank, the residual (float.hex), the orders that
-got a configured BDF(p) run, and the digests of Z and y_final
+got a configured BDF(p) run, the orders screened by an accepted root screen
+(roots) and those whose root screen was not accepted and fell back to an
+Euler screen (root_fallbacks), and the digests of Z and y_final
 (bitwise_dump.digest), or the error's type and message.  A last line counts
-the cases and configured runs.  Run it in two checkouts and diff the outputs:
-equal case lines mean the same m and the same bits, the configured orders
-show which checks a schedule change adds or drops, and the residuals show how
-far a change that moves bits moved the certificate.  Like
-bitwise_dump.py it imports krylov_dre from the src/ of its own checkout and
-pins BLAS to one thread.
+the cases, configured runs, accepted root screens, fallbacks and errors.
+Run it in two checkouts and diff the outputs: equal case lines mean the same
+m and the same bits, the configured and root-screened orders show which
+checks and screens a schedule change adds or drops, and the residuals show
+how far a change that moves bits moved the certificate.  Like bitwise_dump.py
+it imports krylov_dre from the src/ of its own checkout and pins BLAS to one
+thread.
 
 The cases, all at p=2:
 - gen_convdiff2d, n0 in {10, 15, 20, 30}, seeds 0-5, t_f=1, tol 1e-8 and
@@ -70,18 +73,23 @@ def run_case(make, config):
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"m": sol.m, "rank": sol.rank, "residual": sol.residual.value.hex(),
             "configured": [r.m for r in sol.trace if not r.screen],
+            "roots": [r.m for r in sol.root_screens if r.accepted],
+            "root_fallbacks": [r.m for r in sol.root_screens if not r.accepted],
             "Z": digest(sol.Z), "y_final": digest(sol.y_final)}
 
 
 def main():
-    configured = errors = 0
+    configured = roots = fallbacks = errors = 0
     start = time.perf_counter()
     for label, make, config in CASES:
         out = run_case(make, config)
         configured += len(out.get("configured", ()))
+        roots += len(out.get("roots", ()))
+        fallbacks += len(out.get("root_fallbacks", ()))
         errors += "error" in out
         print(label, " ".join(f"{k}={v}" for k, v in out.items()), flush=True)
-    print(f"{len(CASES)} cases, {configured} configured runs, {errors} errors")
+    print(f"{len(CASES)} cases, {configured} configured runs, {roots} root screens, "
+          f"{fallbacks} root fallbacks, {errors} errors")
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 

@@ -128,12 +128,19 @@ def cmd_solve(args, out, problem, config):
         _write_csv(out / "eba_diagnostics.csv",
                    ["m", "orthonormality_deviation", "relation_residual"],
                    _arnoldi.diagnostics_history(sol.basis))
+    # integrations and root screens in the order they ran (column 5 is the
+    # time since the solve started); a root screen integrates nothing, so it
+    # leaves the integration columns blank
+    rows = [(r.m, r.residual, r.rank, r.matvecs, r.solves, r.seconds, int(r.screen),
+             int(r.skipped), r.integrate_s, r.schur_factorizations, r.euler_retakes,
+             r.stationary_steps, 0, "") for r in sol.trace]
+    rows += [(r.m, r.residual, "", "", "", r.seconds, 1, int(not r.accepted), r.screen_s,
+              "", "", "", 1, r.transient) for r in sol.root_screens]
     _write_csv(out / "convergence.csv",
                ["m", "residual", "rank", "matvecs", "solves", "seconds", "screen", "skipped",
-                "integrate_s", "schur_factorizations", "euler_retakes", "stationary_steps"],
-               [(r.m, r.residual, r.rank, r.matvecs, r.solves, r.seconds,
-                 int(r.screen), int(r.skipped), r.integrate_s, r.schur_factorizations,
-                 r.euler_retakes, r.stationary_steps) for r in sol.trace])
+                "integrate_s", "schur_factorizations", "euler_retakes", "stationary_steps",
+                "root_screen", "transient"],
+               sorted(rows, key=lambda row: row[5]))
     _write_csv(out / "solution.csv",
                ["method", "m", "rank", "residual", "converged", "breakdown", "seconds"],
                [(sol.method, sol.m, sol.rank,

@@ -18,11 +18,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import arnoldi
 from .bdf import integrate
-from .dense import psd_factor, symmetrize
-from .errors import Breakdown, IndefiniteY, NotConverged, StepFailure
+from .dense import (care_local_root, is_stable, psd_factor, solve_care, solve_lyapunov,
+                    symmetrize)
+from .errors import Breakdown, IndefiniteY, NotConverged, SolverError, StepFailure
 from .problem import DREProblem, SolverConfig, factorize
 
 # Eigenvalues of Y below -PSD_RTOL * sigma_max fail the PSD check of the
@@ -36,13 +38,24 @@ SCREEN_STEPS = 20
 # more: the forced iteration of a warm step cancels the stationary-tail skip.
 WARM_STEPS = 2
 # A screen residual within SCREEN_SAFETY * tol ends screening at m, unless
-# the screen went stationary: then it sits at the projected CARE root, where
-# the configured run ends too, and it is compared with tol itself.  convdiff2d
-# screens go stationary and match the configured residual to 7.6e-6 relative;
-# heat1d screens (t_f=1) never do, and overestimate it by up to 4.29x at the
-# returned m.  A larger overestimate can pass over the first passing order;
-# a higher one is returned.
+# the screen was stationary (an Euler screen that went stationary, or an
+# accepted root screen): then it sits at the projected CARE root, where the
+# configured run ends too, and it is compared with tol itself.  On convdiff2d
+# the first Euler screen goes stationary and the later orders are
+# root-screened, which read the configured residual at the returned m to
+# 5.3e-6 relative or better.  heat1d screens (t_f=1) never go stationary,
+# and overestimate the configured residual by up to 4.29x at the returned m.
+# A larger overestimate can pass over the first passing order; a higher one
+# is returned.
 SCREEN_SAFETY = 4.0
+# A root screen is accepted when its transient dY is at most ROOT_TRANSIENT *
+# ||X~||_2.  The trajectory has then decayed onto the root: X~ + dY cannot
+# cancel, as the closed form does on heat1d where ||X~|| >> ||Y(t_f)||, and
+# the screen reads the root the configured run ends at.  The value leaves
+# room on both sides: convdiff2d transients are at most 8.6e-33 of ||X~||,
+# while heat1d ones, which never reach a root screen, are 0.38-1.0 of it at
+# t_f=1 and 3.4e-8-4.6e-7 at t_f=50.
+ROOT_TRANSIENT = 1e-8
 
 
 @dataclass
@@ -77,6 +90,25 @@ class ConvergenceRecord:
 
 
 @dataclass
+class RootScreenRecord:
+    """An order screened by its projected CARE root X~, without an integration.
+
+    residual is basis.residual_norm(X~ + dY) and transient ||dY||_2/||X~||_2,
+    both inf when root_screen found no root.  accepted marks a transient
+    within ROOT_TRANSIENT; an order whose root screen was not accepted got an
+    Euler screen.  seconds is the time since the solve started, as in
+    ConvergenceRecord, and screen_s the root screen's own wall time.
+    """
+
+    m: int
+    residual: float
+    transient: float
+    accepted: bool
+    seconds: float
+    screen_s: float
+
+
+@dataclass
 class LowRankSolution:
     """Final-time approximation X(t_f) ~ Z Z^T plus convergence metadata."""
 
@@ -90,6 +122,7 @@ class LowRankSolution:
     y_final: np.ndarray | None = None
     basis: object = None
     trace: list = field(default_factory=list)
+    root_screens: list = field(default_factory=list)
     samples: list = field(default_factory=list)
     step_stats: dict = field(default_factory=dict)
 
@@ -138,6 +171,39 @@ def _project_initial(basis, Z0):
     return G @ G.T
 
 
+def root_screen(T_m, B_m, C_m, Y0, t_f, x_prev, care_tol):
+    """Y_m(t_f) in closed form about the projected CARE root: (X~, dY), or None.
+
+    X~, the root of T X + X T^T - X B_m B_m^T X + C_m^T C_m = 0, is reached
+    by care_local_root from x_prev (a smaller nested order's root) padded
+    with zeros; the first iteration is forced, so the padded rows are solved
+    for even when the padded start passes the stop test.  A root that is not
+    stabilizing is replaced by solve_care's from a cold start.  With the
+    closed loop Ac = T^T - B_m B_m^T X~, E = e^{t_f Ac}, Ac Z + Z Ac^T =
+    B_m B_m^T, W = E Z E^T - Z and D0 = Y0 - X~, the projected DRE's exact
+    trajectory ends at X~ + dY with dY = E^T D0 (I + W D0)^{-1} E, the
+    Bernoulli substitution of oracles.exact_solution with D0 never inverted.
+    None stands for a SolverError, a singular I + W D0 or a non-finite result.
+    """
+    A, G, Q = T_m.T, B_m @ B_m.T, C_m.T @ C_m
+    k = A.shape[0]
+    try:
+        X = care_local_root(A, B_m, Q, np.pad(x_prev, (0, k - x_prev.shape[0])),
+                            tol=care_tol, forced=True)[0]
+        if not is_stable(A - G @ X):
+            X = solve_care(A, B_m, Q, tol=care_tol)
+        closed = A - G @ X
+        Z = solve_lyapunov(closed.T, -G)
+        E = sla.expm(t_f * closed)
+        D0 = Y0 - X
+        dY = E.T @ D0 @ np.linalg.solve(np.eye(k) + (E @ Z @ E.T - Z) @ D0, E)
+    except (SolverError, np.linalg.LinAlgError):
+        return None
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(dY))):
+        return None
+    return X, symmetrize(dY)
+
+
 def krylov_orders(problem, handle, m_max):
     """Grow the extended Krylov basis of (A^T, C^T), yielding (basis, last).
 
@@ -162,27 +228,37 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     The projected DRE is re-integrated from t = 0 at every checked m (the
     projected state lives in a different space each time); the residual is
     tested at the final time only.  When config.h takes more than
-    SCREEN_STEPS steps to t_f, each m is first screened by implicit Euler
-    with SCREEN_STEPS steps, and the configured BDF(p) runs only to certify.
-    The spaces are nested, so a screen's first WARM_STEPS steps start their
-    CARE from the previous order's screen iterates padded with zeros;
+    SCREEN_STEPS steps to t_f, each m is first screened, and the configured
+    BDF(p) runs only to certify.  When order m - 1's screen was stationary,
+    order m is screened by root_screen from its end state: the projected
+    CARE root plus the closed-form transient, accepted when that transient
+    is within ROOT_TRANSIENT of the root.  Every other order, and one whose
+    root screen failed or was not accepted, gets an implicit-Euler screen
+    with SCREEN_STEPS steps.  The spaces are nested, so an Euler screen that
+    follows one that did not go stationary starts the CARE of its first
+    WARM_STEPS steps from that screen's iterates padded with zeros;
     configured runs always start from their own history.  The first m whose
     screen residual is within SCREEN_SAFETY * tol ends screening, or within
-    tol itself when the screen went stationary (its trajectory reached the
-    projected CARE root, which the configured run ends at too); from there
-    on, in one upward pass, each order gets the configured check until one
-    passes.  A screen that raises StepFailure and the last m get it too.  So
-    the result is the first passing order at or above the candidate,
-    integrated exactly as without the screen; it is the unscreened answer
-    whenever the screen at that order is within SCREEN_SAFETY * tol, or
-    within tol when stationary.
+    tol itself when the screen was stationary (an Euler screen whose
+    trajectory reached the projected CARE root, or an accepted root screen;
+    the configured run ends at that root too); from there on, in one upward
+    pass, each order gets the configured check until one passes.  An Euler
+    screen that raises StepFailure and the last m get it too.  So the result
+    is the first passing order at or above the candidate, integrated exactly
+    as without the screen; it is the unscreened answer whenever the screen
+    at that order is within SCREEN_SAFETY * tol, or within tol when
+    stationary.  Only this schedule departs from the paper's method, which
+    integrates at every order: each returned order is certified by its own
+    BDF(p) run.
 
     Breakdown of the Arnoldi process ends the loop: the returned solution is
     flagged when the residual passes there (exactly 0 for an invariant
     subspace).  Raises NotConverged, with the last configured residual, when
     m_max is hit or the basis breaks down before the residual passes, so
     every returned factor is certified.  The trace holds one record per
-    integration, in order; the last is the returned check's.
+    integration, in order; the last is the returned check's.  A root screen
+    integrates nothing: root_screens holds one RootScreenRecord per root
+    screen, in order.
 
     sample_times requests factored snapshots X(t) ~ Z_t Z_t^T along the
     converged trajectory, returned in LowRankSolution.samples.
@@ -193,8 +269,9 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
     if problem.t_f / config.h > SCREEN_STEPS:
         screen = replace(config, p=1, h=problem.t_f / SCREEN_STEPS)
         warm_times = screen.h * np.arange(1, WARM_STEPS + 1)
-    starts = None     # the last screen's iterates at steps 1..WARM_STEPS
-    trace = []
+    starts = None     # the last screen's iterates at steps 1..WARM_STEPS, when it moved
+    root = None       # the last screen's end state, when it was stationary
+    trace, root_rows = [], []
     t0 = time.perf_counter()
 
     def check(cfg, last=False):
@@ -236,17 +313,47 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
         trace.append(row)
         return row, outcome
 
+    def screen_by_root(x_prev):
+        """Root-screen the basis's order from x_prev and record it: X~ if accepted, else None."""
+        T_m, B_m, C_m = arnoldi.projected_matrices(basis, problem.B)
+        t_root = time.perf_counter()
+        found = root_screen(T_m, B_m, C_m, _project_initial(basis, problem.Z0), problem.t_f,
+                            x_prev, config.care_tol)
+        X, residual, transient, accepted = None, np.inf, np.inf, False
+        if found is not None:
+            X, dY = found
+            x_norm, dy_norm = float(np.linalg.norm(X, 2)), float(np.linalg.norm(dY, 2))
+            accepted = dy_norm <= ROOT_TRANSIENT * x_norm
+            transient = dy_norm / x_norm if x_norm > 0.0 else np.inf
+            residual = basis.residual_norm(X + dY)
+        now = time.perf_counter()
+        root_rows.append(RootScreenRecord(m=basis.order, residual=residual, transient=transient,
+                                          accepted=accepted, seconds=now - t0,
+                                          screen_s=now - t_root))
+        return X if accepted else None
+
     for basis, last in krylov_orders(problem, handle, config.m_max):
         if screen is not None and not last:
-            row, outcome = check(screen)
-            starts = None
-            if outcome is not None:
-                starts = outcome[0].ys[1:WARM_STEPS + 1]
-                limit = config.tol if row.stationary_steps else SCREEN_SAFETY * config.tol
-                if not row.residual <= limit:
+            if root is not None:
+                root = screen_by_root(root)
+            if root is not None:
+                if not root_rows[-1].residual <= config.tol:
                     continue
-                # the first passing screen ends screening, whatever m's check gives
                 screen = None
+            else:
+                row, outcome = check(screen)
+                starts = None
+                if outcome is not None:
+                    traj = outcome[0]
+                    if row.stationary_steps:
+                        root = traj.final
+                    else:
+                        starts = traj.ys[1:WARM_STEPS + 1]
+                    limit = config.tol if row.stationary_steps else SCREEN_SAFETY * config.tol
+                    if not row.residual <= limit:
+                        continue
+                    # the first passing screen ends screening, whatever m's check gives
+                    screen = None
         row, outcome = check(config, last)
         if row.residual < config.tol:
             break
@@ -255,7 +362,7 @@ def solve(problem: DREProblem, config: SolverConfig, sample_times=None,
 
     traj, est, psd = outcome
     sol = extract_factor(basis, traj.final, config.dtol, residual=est, psd=psd)
-    sol.trace = trace
+    sol.trace, sol.root_screens = trace, root_rows
     sol.step_stats = traj.step_stats(config.h)
     if sample_times is not None:
         sol.samples = _factor_samples(basis, traj, config.dtol)

@@ -18,7 +18,7 @@ from krylov_dre.problem import SolverConfig
 
 DUMP = Path(__file__).resolve().parents[1] / "scripts" / "bitwise_dump.py"
 SOLVE_KEYS = {"m", "rank", "residual", "breakdown", "Z", "y_final", "samples", "step_stats",
-              "trace", "configured"}
+              "trace", "root_screens", "configured", "root_screened"}
 
 
 def _load_dump(monkeypatch):
@@ -59,8 +59,17 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     # so does the work count of one integration in the trace
     sol.trace[-1].schur_factorizations += 1
     assert dump.solution(sol)["trace"] != out["trace"]
+    # the root screens are listed and digested: convdiff n0=10 is screened by
+    # its root above its first order
+    sol = solver.solve(gen_convdiff2d(10, seed=11, t_f=1.0),
+                       SolverConfig(p=2, h=5e-3, tol=1e-8, m_max=30))
+    out = dump.solution(sol)
+    assert out["root_screened"] == list(range(2, sol.m + 1)) and _is_digest(out["root_screens"])
+    sol.root_screens[0].residual = np.nextafter(sol.root_screens[0].residual, np.inf)
+    assert dump.solution(sol)["root_screens"] != out["root_screens"]
 
     base = dump.solution(baseline.solve_baseline(problem, config))
     assert set(base) == SOLVE_KEYS and base["residual"] is None
+    assert base["root_screened"] == []
     assert base["m"] == 20 and _is_digest(base["Z"]) and _is_digest(base["trace"])
     assert "schur_factorizations" not in base["step_stats"]

@@ -69,10 +69,11 @@ def test_convergence_curve_decreases(tmp_path):
     assert res[-1] < 1e-9
     assert res[0] > res[-1]
     # 100 steps: each order is screened first, and the returned check comes last
-    assert list(rows[0])[-6:] == ["screen", "skipped", "integrate_s", "schur_factorizations",
-                                  "euler_retakes", "stationary_steps"]
+    assert list(rows[0])[-8:] == ["screen", "skipped", "integrate_s", "schur_factorizations",
+                                  "euler_retakes", "stationary_steps", "root_screen",
+                                  "transient"]
     assert rows[0]["screen"] == "1" and rows[-1]["screen"] == "0"
-    assert all(r["skipped"] == "0" for r in rows)
+    assert all(r["skipped"] == "0" and r["root_screen"] == "0" for r in rows)
     # the returned check's totals are those of the step log
     log = _read_csv(out / "bdf_log.csv")
     assert int(rows[-1]["schur_factorizations"]) == \
@@ -82,6 +83,30 @@ def test_convergence_curve_decreases(tmp_path):
     assert len(log) == 100
     assert list(log[0]) == ["k", "t", "order", "newton_iterations", "schur_factorizations",
                             "care_residual"]
+
+
+def test_convergence_csv_reports_root_screens(tmp_path):
+    out = tmp_path / "roots"
+    code = cli_run([
+        "convergence", "--family", "convdiff2d", "--n0", "10", "--tf", "1.0",
+        "--h", "5e-3", "--tol", "1e-8", "--seed", "11", "--out", str(out),
+    ])
+    assert code == 0
+    rows = _read_csv(out / "convergence.csv")
+    # the first screen goes stationary, so the later orders are root-screened;
+    # their rows sit in time order and leave the integration columns blank
+    assert rows[0]["root_screen"] == "0" and int(rows[0]["stationary_steps"]) > 0
+    roots = [r for r in rows if r["root_screen"] == "1"]
+    m = int(rows[-1]["m"])
+    assert rows[1:-1] == roots and [int(r["m"]) for r in roots] == list(range(2, m + 1))
+    assert all(r["screen"] == "1" and r["skipped"] == "0" and r["rank"] == r["matvecs"]
+               == r["schur_factorizations"] == "" and float(r["transient"]) <= 1e-8
+               and 0.0 < float(r["integrate_s"]) <= float(r["seconds"]) for r in roots)
+    seconds = [float(r["seconds"]) for r in rows]
+    assert seconds == sorted(seconds)
+    # the root screen at the returned order reads its configured residual
+    assert abs(float(roots[-1]["residual"]) - float(rows[-1]["residual"])) <= \
+        1e-5 * float(rows[-1]["residual"])
 
 
 def test_baseline_command_writes_step_log(tmp_path):

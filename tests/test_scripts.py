@@ -37,15 +37,23 @@ def test_schedule_sweep_prints_m_configured_orders_and_digests(monkeypatch, caps
     monkeypatch.setattr(sweep, "CASES", small)
     sweep.main()
     lines = capsys.readouterr().out.splitlines()
-    expected, runs = [], 0
+    expected, runs, roots = [], 0, 0
     for label, make, config in small:
         sol = solver.solve(make(), config)
         configured = [r.m for r in sol.trace if not r.screen]
+        root_screened = [r.m for r in sol.root_screens]
+        # the convdiff2d case is root-screened above its first order, heat1d never
+        assert all(r.accepted for r in sol.root_screens)
+        assert root_screened == (list(range(2, sol.m + 1)) if label.startswith("convdiff")
+                                 else [])
         runs += len(configured)
+        roots += len(root_screened)
         expected.append(f"{label} m={sol.m} rank={sol.rank} "
                         f"residual={sol.residual.value.hex()} configured={configured} "
+                        f"roots={root_screened} root_fallbacks=[] "
                         f"Z={sweep.digest(sol.Z)} y_final={sweep.digest(sol.y_final)}")
-    assert lines == expected + [f"2 cases, {runs} configured runs, 0 errors"]
+    assert lines == expected + [f"2 cases, {runs} configured runs, {roots} root screens, "
+                                f"0 root fallbacks, 0 errors"]
     # a failed solve is reported by its error
     make = small[0][1]
     out = sweep.run_case(make, SolverConfig(p=2, h=5e-3, tol=1e-8, m_max=2))

@@ -8,6 +8,7 @@ import scipy.stats
 from krylov_dre import arnoldi, solver
 from krylov_dre.benchmarks import gen_convdiff2d, gen_heat1d_fem
 from krylov_dre.bdf import bdf_coefficients, integrate
+from krylov_dre.dense import solve_care
 from krylov_dre.errors import IndefiniteY, NotConverged, StepFailure
 from krylov_dre.oracles import dense_reference_integrate
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
@@ -321,6 +322,12 @@ def _configured_orders(sol):
     return [r.m for r in sol.trace if not r.screen]
 
 
+def _screened_orders(sol):
+    """Orders with an Euler screen or an accepted root screen, ascending."""
+    return sorted([r.m for r in sol.trace if r.screen]
+                  + [r.m for r in sol.root_screens if r.accepted])
+
+
 def _report_screens_non_stationary(monkeypatch, config):
     """Zero every screen's stationary_steps, so that solve compares each screen
     with SCREEN_SAFETY * tol, as it does on heat1d, and a convdiff screen can
@@ -343,9 +350,20 @@ def test_screened_solve_equals_unscreened(screen_cases, name):
     _assert_same_solution(sol, ref)
     # every order screened up to the candidate m, whose configured check
     # passes and is the only one run
-    assert [r.m for r in sol.trace if r.screen] == list(range(1, sol.m + 1))
+    assert _screened_orders(sol) == list(range(1, sol.m + 1))
     assert _configured_orders(sol) == [sol.m]
     assert not any(r.skipped for r in sol.trace)
+    # convdiff's first screen goes stationary, so every later order is
+    # screened by its root; heat1d's never do
+    euler = [r.m for r in sol.trace if r.screen]
+    if name.startswith("convdiff"):
+        assert euler == [1] and sol.trace[0].stationary_steps > 0
+        assert all(r.accepted for r in sol.root_screens)
+        assert all(0.0 < r.screen_s <= r.seconds for r in sol.root_screens)
+        seconds = [r.seconds for r in sol.root_screens]
+        assert seconds == sorted(seconds) and seconds[-1] < sol.trace[-1].seconds
+    else:
+        assert euler == list(range(1, sol.m + 1)) and sol.root_screens == []
 
 
 def test_early_screen_candidate_walks_up(screen_cases, monkeypatch):
@@ -382,10 +400,20 @@ def test_late_screen_candidate_is_returned(screen_cases, monkeypatch, name, cand
     assert np.array_equal(cut.V, ref.basis.V) and np.array_equal(cut.T, ref.basis.T)
 
 
-# (order whose screen fails, the rows after its configured check, last
-# screened order, configured orders): at 3 the configured check fails and
-# screening goes on to the unscreened answer; at 9, the unscreened answer, it
-# passes and is returned.
+def _failing_root_screen(monkeypatch, problem, failing):
+    """Make root_screen find no root at the given order."""
+    w, real = 2 * problem.s, solver.root_screen
+
+    def root_screen(T_m, *args):
+        return None if T_m.shape[0] == failing * w else real(T_m, *args)
+
+    monkeypatch.setattr(solver, "root_screen", root_screen)
+
+
+# (order whose root and Euler screens fail, the rows after its configured
+# check, last screened order, configured orders): at 3 the configured check
+# fails and screening goes on, by an Euler screen at 4, to the unscreened
+# answer; at 9, the unscreened answer, it passes and is returned.
 @pytest.mark.parametrize("failing, following, screened, configured", [
     (3, [(4, True, False)], 9, [3, 9]),
     (9, [], 9, [9]),
@@ -401,16 +429,20 @@ def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkey
         return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times, starts=starts)
 
     monkeypatch.setattr(solver, "integrate", failing_screen)
+    _failing_root_screen(monkeypatch, problem, failing)
     sol = solve(problem, config, sample_times=samples)
     assert sol.m == configured[-1] and sol.residual.value < config.tol
     if sol.m == ref.m:
         _assert_same_solution(sol, ref)
     rows = [(r.m, r.screen, r.skipped) for r in sol.trace]
-    assert rows[failing - 1:failing + 2] == [(failing, True, True),
-                                             (failing, False, False)] + following
-    assert np.isinf(sol.trace[failing - 1].residual)
-    assert [r.m for r in sol.trace if r.screen] == list(range(1, screened + 1))
+    i = rows.index((failing, True, True))
+    assert rows[i:i + 3] == [(failing, True, True), (failing, False, False)] + following
+    assert np.isinf(sol.trace[i].residual)
+    assert _screened_orders(sol) == list(range(1, screened + 1))
     assert _configured_orders(sol) == configured
+    # the failed root screen is reported, the others are accepted
+    failed = [r for r in sol.root_screens if not r.accepted]
+    assert [(r.m, r.residual, r.transient) for r in failed] == [(failing, np.inf, np.inf)]
     unscreened = {r.m: r.residual for r in ref.trace}
     assert all(r.residual == unscreened[r.m] for r in sol.trace
                if not r.screen and r.m in unscreened)
@@ -420,7 +452,7 @@ def test_screen_step_failure_falls_back_to_configured_check(screen_cases, monkey
         (sum(stats["schur_factorizations"]), stats["euler_retakes"], stats["stationary_steps"])
     assert all(0.0 < r.integrate_s <= r.seconds for r in sol.trace)
     assert all((r.schur_factorizations > 0) != r.skipped for r in sol.trace)
-    skipped = sol.trace[failing - 1]
+    skipped = sol.trace[i]
     assert (skipped.euler_retakes, skipped.stationary_steps) == (0, 0)
 
 
@@ -476,24 +508,26 @@ def test_failing_candidate_walks_up_without_lower_check(screen_cases, monkeypatc
 
 def test_stationary_screen_above_tol_gets_no_check(screen_cases):
     # with tol between the configured residuals at m - 1 and m, the screen at
-    # m - 1 reads within SCREEN_SAFETY * tol but above tol; it is stationary,
-    # so it stands for its order's failing configured check
+    # m - 1 reads within SCREEN_SAFETY * tol but above tol; it is a root
+    # screen, so it stands for its order's failing configured check
     problem, config, samples, ref = screen_cases["convdiff-n100"]
     configured = {r.m: r.residual for r in ref.trace}
     config = replace(config, tol=configured[ref.m - 1] / 2)
     assert configured[ref.m] < config.tol
     sol = solve(problem, config, sample_times=samples)
     _assert_same_solution(sol, _unscreened(problem, config, samples))
-    below = [r for r in sol.trace if r.m == sol.m - 1]
-    assert len(below) == 1 and below[0].screen and below[0].stationary_steps > 0
+    below = [r for r in sol.root_screens if r.m == sol.m - 1]
+    assert len(below) == 1 and below[0].accepted
     assert config.tol < below[0].residual <= solver.SCREEN_SAFETY * config.tol
+    assert not any(r.m == sol.m - 1 for r in sol.trace)
     assert _configured_orders(sol) == [sol.m]
 
 
 @pytest.mark.parametrize("name", sorted(SCREEN_CASES) + ["convdiff-n225", "convdiff-n400"])
-def test_stationary_screens_read_the_configured_residual(screen_cases, name):
+def test_stationary_screens_read_the_configured_residual(screen_cases, monkeypatch, name):
     # a stationary screen ends at the projected CARE root, as the configured
-    # run does; heat1d screens (t_f=1) never get there
+    # run does, and a root screen reads that root; heat1d screens (t_f=1)
+    # never get there
     if name in screen_cases:
         problem, config, samples, ref = screen_cases[name]
     else:
@@ -502,14 +536,89 @@ def test_stationary_screens_read_the_configured_residual(screen_cases, name):
         config, samples = SCREEN_CASES["convdiff-n100"][1:]
         ref = _unscreened(problem, config, samples)
     configured = {r.m: r.residual for r in ref.trace}
+    sol = solve(problem, config, sample_times=samples)
+    if name.startswith("heat1d"):
+        assert sol.root_screens == []
+    else:
+        assert len(sol.root_screens) == sol.m - 1
+    for r in sol.root_screens:
+        assert r.accepted and abs(r.residual - configured[r.m]) <= 1e-5 * configured[r.m]
+    # with every root screen failing, each order gets an Euler screen
+    monkeypatch.setattr(solver, "root_screen", lambda *args: None)
     screens = [r for r in solve(problem, config, sample_times=samples).trace if r.screen]
     stationary = [r for r in screens if r.stationary_steps > 0]
     if name.startswith("heat1d"):
         assert screens and not stationary
     else:
-        assert stationary == screens
+        assert stationary == screens and [r.m for r in screens] == list(range(1, sol.m + 1))
     for r in stationary:
         assert abs(r.residual - configured[r.m]) <= 1e-3 * configured[r.m]
+
+
+def test_root_screen_solves_the_padded_rows():
+    # from m=16 on convdiff n=900 the previous order's root, padded with
+    # zeros, already passes order m's CARE stop test; an unforced Newton
+    # would stop there and the screen would read that start's residual
+    problem = gen_convdiff2d(30, seed=11, t_f=1.0)
+    x_prev = np.zeros((0, 0))
+    for basis, _ in krylov_orders(problem, factorize(problem.A), 18):
+        T_m, B_m, C_m = arnoldi.projected_matrices(basis, problem.B)
+        X, dY = solver.root_screen(T_m, B_m, C_m, solver._project_initial(basis, problem.Z0),
+                                   problem.t_f, x_prev, 1e-12)
+        cold = basis.residual_norm(solve_care(T_m.T, B_m, C_m.T @ C_m, tol=1e-12))
+        assert abs(basis.residual_norm(X + dY) - cold) <= 1e-5 * cold
+        assert np.linalg.norm(dY, 2) <= solver.ROOT_TRANSIENT * np.linalg.norm(X, 2)
+        x_prev = X
+
+
+def test_heat1d_never_root_screens(screen_cases, monkeypatch):
+    # heat1d screens never go stationary, so the Euler schedule is untouched
+    problem, config, samples, ref = screen_cases["heat1d-n400"]
+
+    def root_screen(*args):
+        raise AssertionError("a heat1d order was root-screened")
+
+    monkeypatch.setattr(solver, "root_screen", root_screen)
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    assert sol.root_screens == []
+    screens = [r for r in sol.trace if r.screen]
+    assert [r.m for r in screens] == list(range(1, sol.m + 1))
+    assert not any(r.stationary_steps for r in screens)
+
+
+@pytest.mark.parametrize("failing", [2, 6])
+def test_failed_root_screen_gets_euler_screen(screen_cases, monkeypatch, failing):
+    # an order whose root screen fails gets a cold Euler screen, which goes
+    # stationary, so the next order is root-screened from its end state
+    problem, config, samples, ref = screen_cases["convdiff-n100"]
+    calls = []
+
+    def spy(T, B_m, C_m, Y0, t_f, cfg, sample_times=None, starts=None):
+        calls.append((T.shape[0] // (2 * problem.s), cfg is config, starts is None))
+        return integrate(T, B_m, C_m, Y0, t_f, cfg, sample_times=sample_times, starts=starts)
+
+    monkeypatch.setattr(solver, "integrate", spy)
+    _failing_root_screen(monkeypatch, problem, failing)
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    assert calls == [(1, False, True), (failing, False, True), (sol.m, True, True)]
+    assert sol.trace[1].stationary_steps > 0
+    assert _screened_orders(sol) == list(range(1, sol.m + 1))
+    assert [r.m for r in sol.root_screens if not r.accepted] == [failing]
+
+
+def test_transient_above_bound_gets_euler_screen(screen_cases, monkeypatch):
+    # with a zero bound no root screen is accepted: every order is screened
+    # by a cold Euler screen, and the answer does not move
+    problem, config, samples, ref = screen_cases["convdiff-n100"]
+    monkeypatch.setattr(solver, "ROOT_TRANSIENT", 0.0)
+    sol = solve(problem, config, sample_times=samples)
+    _assert_same_solution(sol, ref)
+    assert [r.m for r in sol.trace if r.screen] == list(range(1, sol.m + 1))
+    assert [r.m for r in sol.root_screens] == list(range(2, sol.m + 1))
+    assert all(not r.accepted and 0.0 < r.transient < 1e-20 and np.isfinite(r.residual)
+               for r in sol.root_screens)
 
 
 
