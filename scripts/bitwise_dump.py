@@ -2,6 +2,7 @@
 """SHA-256 digests of solver outputs, for proving two checkouts bitwise equal.
 
     python scripts/bitwise_dump.py > dump.json
+    python scripts/bitwise_dump.py --compare parent.json dump.json
 
 Run it in two checkouts and compare the JSON it prints: equal digests mean
 equal bits.  It imports krylov_dre from the src/ of the checkout it sits in
@@ -9,13 +10,18 @@ and pins BLAS to one thread before numpy loads, as perfbench/run.py does.
 The benchmark problems and configs come from perfbench/workloads.py.
 
 Per solve it covers m, rank, the residual (float.hex), the breakdown flag, Z,
-y_final, each sample, each step_stats entry, the trace rows (m, residual,
-rank, screen, skipped, schur_factorizations, euler_retakes, stationary_steps),
-the root screens (m, residual, transient, accepted), the orders of the
-configured integrations and of the accepted root screens in plain text (so a
-digest change can be read without a rerun) and the returned basis's V and T; per
-steady state the factor or the error's type and message; per oracle the exact
-and the reference matrices.
+y_final, each sample, the step_stats entries (h, care_residuals, orders), the
+trace rows (m, residual, rank, screen, skipped), the root screens (m,
+residual, transient, accepted), the orders of the configured integrations and
+of the accepted root screens in plain text (so a digest change can be read
+without a rerun) and the returned basis's V and T.  Its work counts are
+digested apart, under "work": the step_stats entries WORK_COUNTS and the
+trace rows' schur_factorizations, euler_retakes and stationary_steps.  So a
+change that saves work and keeps the bits leaves every digest outside "work"
+equal.  Per steady state it covers the factor or the error's type and
+message; per oracle the exact and the reference matrices.  --compare prints
+one line per entry that differs between two dumps, saying whether its
+outputs differ or only its work counts.
 """
 
 import hashlib
@@ -56,24 +62,32 @@ def _canon(x):
     raise TypeError(f"cannot digest {type(x).__name__}")
 
 
+# The step_stats entries that count work; the trace rows count the last three.
+WORK_COUNTS = ("newton_iters", "schur_factorizations", "euler_retakes", "stationary_steps")
+
+
 def digest(x):
     return hashlib.sha256(json.dumps(_canon(x), sort_keys=True).encode()).hexdigest()
 
 
 def solution(sol):
+    stats = sol.step_stats
     out = {
         "m": sol.m, "rank": sol.rank,
         "residual": None if sol.residual is None else sol.residual.value.hex(),
         "breakdown": sol.breakdown,
         "Z": digest(sol.Z), "y_final": digest(sol.y_final),
         "samples": [digest(s) for s in sol.samples],
-        "step_stats": {k: digest(v) for k, v in sol.step_stats.items()},
-        "trace": digest([(r.m, r.residual, r.rank, r.screen, r.skipped, r.schur_factorizations,
-                          r.euler_retakes, r.stationary_steps) for r in sol.trace]),
+        "step_stats": {k: digest(v) for k, v in stats.items() if k not in WORK_COUNTS},
+        "trace": digest([(r.m, r.residual, r.rank, r.screen, r.skipped) for r in sol.trace]),
         "root_screens": digest([(r.m, r.residual, r.transient, r.accepted)
                                 for r in sol.root_screens]),
         "configured": [r.m for r in sol.trace if not r.screen],
         "root_screened": [r.m for r in sol.root_screens if r.accepted],
+        "work": {
+            "step_stats": {k: digest(stats[k]) for k in WORK_COUNTS if k in stats},
+            "trace": digest([[getattr(r, k) for k in WORK_COUNTS[1:]] for r in sol.trace]),
+        },
     }
     if sol.basis is not None:
         out.update(V=digest(sol.basis.V), T=digest(sol.basis.T))
@@ -86,7 +100,28 @@ def workload(name, seed):
     return w
 
 
-def main():
+def compare(old, new):
+    """One line per entry of two dumps that differs: in its outputs, or in its work alone."""
+    def outputs(entry):
+        if not isinstance(entry, dict):
+            return entry
+        return {k: v for k, v in entry.items() if k != "work"}
+
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key), new.get(key)
+        if a != b:
+            what = "outputs" if outputs(a) != outputs(b) else "work counts"
+            lines.append(f"{key}: {what} differ")
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--compare"]:
+        old, new = (json.loads(Path(path).read_text()) for path in argv[1:3])
+        print("\n".join(compare(old, new)) or "all entries equal")
+        return
     dump = {}
     for name, seeds in (("convdiff-n900", (11, 3, 7)), ("heat-lqr-n1600", (5, 2, 9))):
         for seed in seeds:

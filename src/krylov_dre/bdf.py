@@ -208,12 +208,13 @@ def integrate(T, B_m, C_m, Y0, t_f, config, sample_times=None,
         # across a stiff transient can have non-stabilizing (or slightly
         # indefinite) roots, which solve_care rejects.
         # A failed attempt's factor is dropped with it; its retake (same k)
-        # starts where it did.
+        # starts where it did.  So a multistep attempt, which march retakes
+        # as implicit Euler, is abandoned at its first sign of a stall.
         forced = k <= len(padded)
         Y, info = care_local_root(A, B, symmetrize(q),
                                   x_start=padded[k - 1] if forced else history[0],
                                   tol=config.care_tol, factor=factors.get(order),
-                                  forced=forced)
+                                  forced=forced, fallback=order > 1)
         factors[order] = info["factor"]
         return Y, info
 

@@ -23,6 +23,16 @@ CHORD_CONTRACTION = 0.1
 CHORD_REFRESH = 1e-3
 # Iteration cap of care_local_root, the one CARE Newton.
 CARE_MAXIT = 50
+# care_local_root halves a Newton step until it reduces the residual and
+# gives up below MIN_STEP, or below ABANDON_STEP in a call whose failure has a
+# fallback (a BDF(p) attempt that march retakes as implicit Euler).  Such an
+# attempt stalls after a few factorizations and is abandoned there instead of
+# backtracking through a dozen more; its retake starts where it did, so the
+# result moves only if an attempt that would succeed needs a shorter step.
+# None does on the 89-case schedule sweep, the tests or the benchmark
+# streams: every successful BDF(p) attempt there takes full steps only.
+MIN_STEP = 2.0 ** -16
+ABANDON_STEP = 2.0 ** -3
 
 
 def symmetrize(M):
@@ -59,16 +69,17 @@ class SchurFactor:
     The factorization and the check for an eigenvalue pair with
     lambda_i + lambda_j ~ 0 (SpectrumIncompatible, the equation is singular)
     run once; every solve is then a trsyl back-substitution and two
-    orthogonal transforms.
+    orthogonal transforms.  eigenvalues holds F's, read off the Schur form.
     """
 
     def __init__(self, F):
         F = np.asarray(F, dtype=float)
         self.k = F.shape[0]
         if self.k == 0:
+            self.eigenvalues = np.zeros(0, complex)
             return
         T, U = sla.schur(F, output="real")
-        eigs = _schur_eigenvalues(T)
+        self.eigenvalues = eigs = _schur_eigenvalues(T)
         scale = max(np.abs(eigs).max(), 1.0)
         pair_sums = np.abs(eigs[:, None] + eigs[None, :])
         if pair_sums.min() <= 1e-12 * scale:
@@ -151,7 +162,7 @@ def solve_care(A, B, Q, x_init=None, tol=1e-12):
     return X
 
 
-def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None, forced=False):
+def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None, forced=False, fallback=False):
     """Damped Newton for the CARE root nearest a warm start.
 
     Each step solves the Kleinman Lyapunov equation in delta form and
@@ -159,9 +170,13 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None, forced=False):
     iterates (or the root) to be stabilizing -- BDF steps over a stiff
     transient produce exactly such roots.  With a full step accepted the
     iteration coincides with Newton-Kleinman.  Raises MaxIterations when the
-    residual cannot be reduced to tol within CARE_MAXIT iterations (in
-    particular when the step equation has no symmetric solution at all).
-    solve_care is this iteration from a stabilizing start.
+    residual cannot be reduced to tol within CARE_MAXIT iterations, or when a
+    step has to be cut below MIN_STEP (in particular when the step equation
+    has no symmetric solution at all).  fallback marks a call whose failure
+    the caller recovers from (bdf.integrate's BDF(p) attempts, which march
+    retakes as implicit Euler): it gives up as soon as a step has to be cut
+    below ABANDON_STEP.  solve_care is this iteration from a stabilizing
+    start, without fallback.
 
     factor, a SchurFactor of an earlier closed loop A - B B^T X_old (e.g. the
     previous time step's), turns on chord steps: an iteration first takes
@@ -196,6 +211,7 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None, forced=False):
         return R, _fro(R), max(den, 1e-300), BtY
 
     chord = chord_mode = factor is not None
+    floor = ABANDON_STEP if fallback else MIN_STEP
     R, r, den, BtX = state(X)
     iters = factorizations = 0
     while r > tol * den or forced:
@@ -230,10 +246,11 @@ def care_local_root(A, B, Q, x_start, tol=1e-12, factor=None, forced=False):
                     and np.all(np.isfinite(Rt))):
                 break
             t *= 0.5
-            if t < 2.0 ** -16:
+            if t < floor:
                 raise MaxIterations(
-                    f"damped CARE Newton stalled at residual "
-                    f"{r / den:.3e} (no symmetric root reachable)",
+                    f"damped CARE Newton stalled at residual {r / den:.3e} "
+                    + ("(abandoned for its fallback)" if fallback
+                       else "(no symmetric root reachable)"),
                     iters, factorizations,
                 )
         X, R, r, den, BtX = Xt, Rt, rt, den_t, BtXt

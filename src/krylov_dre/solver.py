@@ -22,9 +22,9 @@ import scipy.linalg as sla
 
 from . import arnoldi
 from .bdf import integrate
-from .dense import (care_local_root, is_stable, psd_factor, solve_care, solve_lyapunov,
-                    symmetrize)
-from .errors import Breakdown, IndefiniteY, NotConverged, SolverError, StepFailure
+from .dense import SchurFactor, care_local_root, psd_factor, solve_care, symmetrize
+from .errors import (Breakdown, IndefiniteY, NotConverged, SolverError, SpectrumIncompatible,
+                     StepFailure)
 from .problem import DREProblem, SolverConfig, factorize
 
 # Eigenvalues of Y below -PSD_RTOL * sigma_max fail the PSD check of the
@@ -177,12 +177,14 @@ def root_screen(T_m, B_m, C_m, Y0, t_f, x_prev, care_tol):
     X~, the root of T X + X T^T - X B_m B_m^T X + C_m^T C_m = 0, is reached
     by care_local_root from x_prev (a smaller nested order's root) padded
     with zeros; the first iteration is forced, so the padded rows are solved
-    for even when the padded start passes the stop test.  A root that is not
-    stabilizing is replaced by solve_care's from a cold start.  With the
-    closed loop Ac = T^T - B_m B_m^T X~, E = e^{t_f Ac}, Ac Z + Z Ac^T =
-    B_m B_m^T, W = E Z E^T - Z and D0 = Y0 - X~, the projected DRE's exact
-    trajectory ends at X~ + dY with dY = E^T D0 (I + W D0)^{-1} E, the
-    Bernoulli substitution of oracles.exact_solution with D0 never inverted.
+    for even when the padded start passes the stop test.  One Schur factor of
+    the closed loop Ac = T^T - B_m B_m^T X~ gives its stability and Z, with
+    Ac Z + Z Ac^T = B_m B_m^T; a root that is not stabilizing (or whose
+    closed loop makes that equation singular) is replaced by solve_care's
+    from a cold start.  With E = e^{t_f Ac}, W = E Z E^T - Z and
+    D0 = Y0 - X~, the projected DRE's exact trajectory ends at X~ + dY with
+    dY = E^T D0 (I + W D0)^{-1} E, the Bernoulli substitution of
+    oracles.exact_solution with D0 never inverted.
     None stands for a SolverError, a singular I + W D0 or a non-finite result.
     """
     A, G, Q = T_m.T, B_m @ B_m.T, C_m.T @ C_m
@@ -190,10 +192,17 @@ def root_screen(T_m, B_m, C_m, Y0, t_f, x_prev, care_tol):
     try:
         X = care_local_root(A, B_m, Q, np.pad(x_prev, (0, k - x_prev.shape[0])),
                             tol=care_tol, forced=True)[0]
-        if not is_stable(A - G @ X):
-            X = solve_care(A, B_m, Q, tol=care_tol)
         closed = A - G @ X
-        Z = solve_lyapunov(closed.T, -G)
+        try:
+            factor = SchurFactor(closed.T)
+            stable = factor.eigenvalues.real.max() < 0.0
+        except SpectrumIncompatible:
+            stable = False
+        if not stable:
+            X = solve_care(A, B_m, Q, tol=care_tol)
+            closed = A - G @ X
+            factor = SchurFactor(closed.T)
+        Z = factor.solve(-G)
         E = sla.expm(t_f * closed)
         D0 = Y0 - X
         dY = E.T @ D0 @ np.linalg.solve(np.eye(k) + (E @ Z @ E.T - Z) @ D0, E)

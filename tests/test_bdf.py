@@ -296,6 +296,44 @@ def test_retaken_step_counts_failed_attempt(monkeypatch):
     assert len(calls) == len(stats["orders"]) - stats["stationary_steps"] + 1
 
 
+def test_abandoned_attempt_is_the_euler_step_from_its_history(monkeypatch):
+    # order 1 of convdiff n0=15: step 2's BDF(2) attempt stalls and is
+    # abandoned; its implicit-Euler retake is the p=1 run's step 2 bit for bit
+    problem = gen_convdiff2d(15, seed=1, t_f=1.0)
+    basis = next(solver.krylov_orders(problem, factorize(problem.A), 1))[0]
+    args = (*arnoldi.projected_matrices(basis, problem.B),
+            solver._project_initial(basis, problem.Z0), 0.01)
+    failed = []
+
+    def recording(*a, **kwargs):
+        try:
+            return dense.care_local_root(*a, **kwargs)
+        except MaxIterations as exc:
+            failed.append(exc)
+            raise
+
+    monkeypatch.setattr(bdf, "care_local_root", recording)
+    bdf2 = integrate(*args, SolverConfig(p=2, h=5e-3), sample_times=[5e-3])
+    euler = integrate(*args, SolverConfig(p=1, h=5e-3), sample_times=[5e-3])
+    assert bdf2.orders == euler.orders == [1, 1] and bdf2.euler_retakes == 1
+    (abandoned,) = failed
+    assert 1 <= abandoned.iterations <= 3
+    assert [Y.tobytes() for Y in bdf2.ys] == [Y.tobytes() for Y in euler.ys]
+    assert bdf2.care_residuals == euler.care_residuals
+    # the abandoned attempt's work counts towards the retaken step
+    assert bdf2.newton_iters == [euler.newton_iters[0],
+                                 euler.newton_iters[1] + abandoned.iterations]
+    assert bdf2.schur_factorizations == [euler.schur_factorizations[0],
+                                         euler.schur_factorizations[1]
+                                         + abandoned.factorizations]
+    # backtracking the attempt down to MIN_STEP costs more and changes no bit
+    monkeypatch.setattr(dense, "ABANDON_STEP", dense.MIN_STEP)
+    failed.clear()
+    stalled = integrate(*args, SolverConfig(p=2, h=5e-3), sample_times=[5e-3])
+    assert failed[0].factorizations > abandoned.factorizations
+    assert [Y.tobytes() for Y in stalled.ys] == [Y.tobytes() for Y in bdf2.ys]
+
+
 class _FakeStep:
     """A step function for march: step k returns Y = k, two iterations and one factorization.
 

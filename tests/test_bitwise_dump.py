@@ -18,7 +18,7 @@ from krylov_dre.problem import SolverConfig
 
 DUMP = Path(__file__).resolve().parents[1] / "scripts" / "bitwise_dump.py"
 SOLVE_KEYS = {"m", "rank", "residual", "breakdown", "Z", "y_final", "samples", "step_stats",
-              "trace", "root_screens", "configured", "root_screened"}
+              "trace", "root_screens", "configured", "root_screened", "work"}
 
 
 def _load_dump(monkeypatch):
@@ -50,15 +50,26 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     assert out["configured"] == [r.m for r in sol.trace if not r.screen]
     assert all(map(_is_digest, [out[k] for k in ("Z", "y_final", "trace", "V", "T")]))
     assert len(out["samples"]) == 2 and all(map(_is_digest, out["samples"]))
-    assert set(out["step_stats"]) == set(sol.step_stats)
+    # the step log's outputs and its work counts are digested apart
+    assert set(out["step_stats"]) == {"h", "care_residuals", "orders"}
+    assert set(out["work"]["step_stats"]) == set(dump.WORK_COUNTS)
+    assert set(out["step_stats"]) | set(out["work"]["step_stats"]) == set(sol.step_stats)
     assert dump.solution(sol) == out
     # a change in the last bit of one entry changes the digest
     sol.Z = sol.Z.copy()
     sol.Z[0, 0] = np.nextafter(sol.Z[0, 0], np.inf)
-    assert dump.solution(sol)["Z"] != out["Z"]
-    # so does the work count of one integration in the trace
+    changed = dump.solution(sol)
+    assert changed["Z"] != out["Z"] and changed["work"] == out["work"]
+    assert dump.compare({"solve": out}, {"solve": changed}) == ["solve: outputs differ"]
+    # a work count changes only the work digests, and compare tells the two apart
     sol.trace[-1].schur_factorizations += 1
-    assert dump.solution(sol)["trace"] != out["trace"]
+    sol.step_stats["newton_iters"] = sol.step_stats["newton_iters"][:-1] + [0]
+    work = dump.solution(sol)
+    assert work["trace"] == changed["trace"] and work["step_stats"] == changed["step_stats"]
+    assert work["work"]["trace"] != out["work"]["trace"]
+    assert work["work"]["step_stats"]["newton_iters"] != out["work"]["step_stats"]["newton_iters"]
+    assert dump.compare({"solve": changed}, {"solve": work}) == ["solve: work counts differ"]
+    assert dump.compare({"solve": out}, {"solve": out}) == []
     # the root screens are listed and digested: convdiff n0=10 is screened by
     # its root above its first order
     sol = solver.solve(gen_convdiff2d(10, seed=11, t_f=1.0),
@@ -72,4 +83,5 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     assert set(base) == SOLVE_KEYS and base["residual"] is None
     assert base["root_screened"] == []
     assert base["m"] == 20 and _is_digest(base["Z"]) and _is_digest(base["trace"])
-    assert "schur_factorizations" not in base["step_stats"]
+    assert "schur_factorizations" not in base["work"]["step_stats"]
+    assert set(base["step_stats"]) == {"h", "care_residuals", "orders"}

@@ -184,6 +184,33 @@ def test_care_local_root_no_root_raises_with_factor():
         care_local_root(A, B, Q, x_start=np.zeros((1, 1)), factor=SchurFactor(A))
 
 
+def _stalling_care():
+    """A, B and an indefinite Q whose CARE has no symmetric root reachable from 0."""
+    rng = np.random.default_rng(6)
+    A = random_stable(3, seed=6)
+    B = rng.standard_normal((3, 1))
+    W = rng.standard_normal((3, 3))
+    return A, B, -(W @ W.T) - 2.0 * np.eye(3)
+
+
+def test_care_local_root_with_fallback_abandons_a_stall(monkeypatch):
+    A, B, Q = _stalling_care()
+    with pytest.raises(MaxIterations, match="abandoned") as abandoned:
+        care_local_root(A, B, Q, x_start=np.zeros((3, 3)), fallback=True)
+    assert abandoned.value.iterations <= 3
+    assert abandoned.value.factorizations == abandoned.value.iterations
+    # without a fallback the same call backtracks down to MIN_STEP = 2^-16
+    assert dense.MIN_STEP == 2.0 ** -16 < dense.ABANDON_STEP
+    with pytest.raises(MaxIterations, match="no symmetric root reachable") as stalled:
+        care_local_root(A, B, Q, x_start=np.zeros((3, 3)))
+    assert stalled.value.iterations > abandoned.value.iterations
+    # the flag changes only that floor
+    monkeypatch.setattr(dense, "MIN_STEP", dense.ABANDON_STEP)
+    with pytest.raises(MaxIterations) as floored:
+        care_local_root(A, B, Q, x_start=np.zeros((3, 3)))
+    assert floored.value.iterations == abandoned.value.iterations
+
+
 def test_care_local_root_forced_iteration_at_a_root():
     # a start that already passes the stop test (the root, to roundoff)
     # takes one iteration when forced, and the test still passes after it

@@ -65,5 +65,22 @@ def test_failure_scan_reports_each_instance(monkeypatch, capsys):
     scan.main(["--workload", "convdiff-n900", "--instances", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["seed=11 instance=0 attempted=1 failed=0",
-                     "seed=11: 0 of 1 calls failed",
+                     "seed=11: 0 of 1 calls failed; all calls passed at instances 0",
                      "convdiff-n900: 0 of 1 calls failed (share 0.0000)"]
+
+
+def test_failure_scan_lists_the_passing_instances(monkeypatch, capsys):
+    # instance 1 of a two-instance scan fails one call: only 0 is listed
+    scan = _load(monkeypatch, "failure_scan")
+    outcomes = {0: (2, 0, []), 1: (2, 1, ["steady_state: MaxIterations: stalled"])}
+    monkeypatch.setattr(scan, "scan_instance", lambda wl, i: outcomes[i])
+    scan.main(["--workload", "heat-lqr-n1600", "--seeds", "5", "--instances", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["seed=5 instance=0 attempted=2 failed=0",
+                     "seed=5 instance=1 attempted=2 failed=1",
+                     "    steady_state: MaxIterations: stalled",
+                     "seed=5: 1 of 4 calls failed; all calls passed at instances 0",
+                     "heat-lqr-n1600: 1 of 4 calls failed (share 0.2500)"]
+    # runs of consecutive instances are printed as ranges
+    assert scan.index_ranges([0, 1, 2, 3, 50, 170, 171]) == "0-3, 50, 170-171"
+    assert scan.index_ranges([]) == "none"
