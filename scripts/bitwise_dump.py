@@ -15,13 +15,13 @@ trace rows (m, residual, rank, screen, skipped), the root screens (m,
 residual, transient, accepted), the orders of the configured integrations and
 of the accepted root screens in plain text (so a digest change can be read
 without a rerun) and the returned basis's V and T.  Its work counts are
-digested apart, under "work": the step_stats entries WORK_COUNTS and the
-trace rows' schur_factorizations, euler_retakes and stationary_steps.  So a
-change that saves work and keeps the bits leaves every digest outside "work"
-equal.  Per steady state it covers the factor or the error's type and
-message; per oracle the exact and the reference matrices.  --compare prints
-one line per entry that differs between two dumps, saying whether its
-outputs differ or only its work counts.
+digested apart, under "work": the step_stats entries WORK_COUNTS that the
+solve reports (the baseline's start_fallbacks among them) and the trace
+rows' TRACE_WORK.  So a change that saves work and keeps the bits leaves
+every digest outside "work" equal.  Per steady state it covers the factor or
+the error's type and message; per oracle the exact and the reference
+matrices.  --compare prints one line per entry that differs between two
+dumps, saying whether its outputs differ or only its work counts.
 """
 
 import hashlib
@@ -62,8 +62,10 @@ def _canon(x):
     raise TypeError(f"cannot digest {type(x).__name__}")
 
 
-# The step_stats entries that count work; the trace rows count the last three.
-WORK_COUNTS = ("newton_iters", "schur_factorizations", "euler_retakes", "stationary_steps")
+# The step_stats entries that count work, and the trace rows' work counts.
+WORK_COUNTS = ("newton_iters", "schur_factorizations", "euler_retakes", "stationary_steps",
+               "start_fallbacks")
+TRACE_WORK = ("schur_factorizations", "euler_retakes", "stationary_steps")
 
 
 def digest(x):
@@ -86,7 +88,7 @@ def solution(sol):
         "root_screened": [r.m for r in sol.root_screens if r.accepted],
         "work": {
             "step_stats": {k: digest(stats[k]) for k in WORK_COUNTS if k in stats},
-            "trace": digest([[getattr(r, k) for k in WORK_COUNTS[1:]] for r in sol.trace]),
+            "trace": digest([[getattr(r, k) for k in TRACE_WORK] for r in sol.trace]),
         },
     }
     if sol.basis is not None:

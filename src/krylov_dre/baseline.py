@@ -47,15 +47,18 @@ class ClosedLoopOperator:
     """F = S - U W^T without forming F; transposed actions via Woodbury.
 
     S is an already-factorized operator handle (curly_a), U and W are n-by-l.
-    Solves with F^T reuse S's factorization plus an l-by-l correction.
+    Solves with F^T reuse S's factorization plus an l-by-l correction.  A
+    caller that has S^{-T} W already (from one LU pass over W and the
+    right-hand sides it needs next) passes it as St_W, and turns the rest of
+    that pass into F^{-T} images with woodbury.
     """
 
-    def __init__(self, s_handle, U, W):
+    def __init__(self, s_handle, U, W, St_W=None):
         self.s = s_handle
         self.n = s_handle.n
         self.U = U
         self.W = W
-        self._Wt = s_handle.solve_t(W)
+        self._Wt = s_handle.solve_t(W) if St_W is None else St_W
         core = np.eye(U.shape[1]) - U.T @ self._Wt
         self._core_lu = sla.lu_factor(core)
 
@@ -63,8 +66,11 @@ class ClosedLoopOperator:
         return self.s.apply_t(V) - self.W @ (self.U.T @ V)
 
     def solve_t(self, V):
-        Y = self.s.solve_t(V)
-        return Y + self._Wt @ sla.lu_solve(self._core_lu, self.U.T @ Y)
+        return self.woodbury(self.s.solve_t(V))
+
+    def woodbury(self, St_V):
+        """F^{-T} V from St_V = S^{-T} V."""
+        return St_V + self._Wt @ sla.lu_solve(self._core_lu, self.U.T @ St_V)
 
     def dense_t(self):
         """F^T as a dense array, for the saturated small-space shortcut."""
@@ -83,11 +89,14 @@ def _orth_new(M, V):
     return P[:, keep]
 
 
-def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
+def eba_lyapunov(op, G, tol, m_max, dtol, Ft_G=None) -> SignedFactor:
     """Solve F^T X + X F + G G^T = 0 with X ~ Z Z^T by Galerkin projection.
 
     op provides apply_t/solve_t actions of the stable closed-loop F, and
-    dense_t for a seed that (nearly) saturates the space.  The subspace grows
+    dense_t for a seed that (nearly) saturates the space.  Ft_G = F^{-T} G,
+    when the caller has it, spares the seed's own solve: the compressed seed
+    is Gc = G Q^T with Q the orthonormal kept right factor of G's SVD, so
+    F^{-T} Gc = Ft_G Q^T, with no amplified error.  The subspace grows
     extended-Krylov style (images of the newest directions under F^T and
     F^{-T}) with rank-revealing deflation at every step: Newton iterates tend
     to live in nearly F-invariant subspaces, making undeflated extended seeds
@@ -102,7 +111,8 @@ def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
     # dropped) and ||Gc||_2 = sig[0].  range(G) must be captured essentially
     # exactly, or the residual estimate silently misses the part of G G^T
     # outside the subspace.
-    P, sig, _ = np.linalg.svd(np.asarray(G, dtype=float), full_matrices=False)
+    G = np.asarray(G, dtype=float)
+    P, sig, Qt = np.linalg.svd(G, full_matrices=False)
     keep = sig > SEED_RTOL * sig.max(initial=0.0)
     V, sig = P[:, keep], sig[keep]
     if sig.size == 0:
@@ -115,7 +125,9 @@ def eba_lyapunov(op, G, tol, m_max, dtol) -> SignedFactor:
         X = solve_lyapunov(op.dense_t().T, Gc @ Gc.T)
         return SignedFactor.from_psd(psd_factor(X, dtol)[0])
 
-    V = np.hstack([V, _orth_new(op.solve_t(Gc), V)])
+    if Ft_G is None:
+        Ft_G = op.solve_t(G)
+    V = np.hstack([V, _orth_new(Ft_G @ Qt[keep].T, V)])
     W = op.apply_t(V)
     last = V
     norm_g = float(sig[0])
@@ -179,14 +191,19 @@ def newton_step_large(X_p, s_handle, curly_b, pos, neg, lyap_tol, m_max,
     Lyapunov equations are solved on their own Krylov spaces (to lyap_tol,
     with at most m_max expansions) and subtracted; the result is column
     compressed at dtol.  For p=1 the negative group is empty and a single
-    solve runs.
+    solve runs.  One LU pass of curly_a serves the closed loop's Woodbury
+    core and both seeds: S^{-T} [W, G_pos, neg] with W = X_p curly_b.
     """
     W = X_p.apply(curly_b)
-    op = ClosedLoopOperator(s_handle, curly_b, W)
-    f_pos = eba_lyapunov(op, np.hstack([pos, W]), lyap_tol, m_max, dtol)
+    G_pos = np.hstack([pos, W])
+    l, g = W.shape[1], G_pos.shape[1]
+    St = s_handle.solve_t(np.hstack([W, G_pos, neg]))
+    op = ClosedLoopOperator(s_handle, curly_b, W, St_W=St[:, :l])
+    Ft = op.woodbury(St[:, l:])
+    f_pos = eba_lyapunov(op, G_pos, lyap_tol, m_max, dtol, Ft_G=Ft[:, :g])
     if neg.shape[1] == 0:
         return f_pos.compress(dtol)
-    f_neg = eba_lyapunov(op, neg, lyap_tol, m_max, dtol)
+    f_neg = eba_lyapunov(op, neg, lyap_tol, m_max, dtol, Ft_G=Ft[:, g:])
     combined = SignedFactor(
         np.hstack([f_pos.Z, f_neg.Z]),
         np.concatenate([f_pos.signs, -f_neg.signs]),
@@ -204,10 +221,17 @@ def _shifted_operator(A, hb):
 def _baseline_step(problem, config, handles, history, order, h):
     """One implicit step at the given order: Newton with factored iterates.
 
-    Returns (iterate, residual estimate, constant-term scale, Newton
-    iterations of every start tried); the iterate is newton_step_large's,
+    Newton starts from the linear extrapolation 2 X_{k-1} - X_{k-2} of the
+    last two iterates (history newest first), compressed at config.dtol;
+    it is O(h^2) from the step's root, so one iteration usually passes the
+    stop test.  With one history iterate it starts from that iterate.  If
+    that start fails, Newton is retried once from zero.  Returns (iterate,
+    residual estimate, constant-term scale, Newton iterations of every start
+    tried, start fallbacks taken); the iterate is newton_step_large's,
     compressed at config.dtol.  Raises MaxIterations on stall (no 2x
-    improvement of the estimate over the last six iterations) or exhaustion.
+    improvement of the estimate over the last six iterations) or
+    exhaustion; the error raised when every start failed carries
+    start_fallbacks too.
     """
     coeffs = bdf_coefficients(order)
     curly_b = np.sqrt(h * coeffs.beta) * problem.B
@@ -215,13 +239,19 @@ def _baseline_step(problem, config, handles, history, order, h):
     stacked = np.hstack([pos, neg])
     scale = max(float(np.linalg.norm(stacked, 2)) ** 2, 1e-300) if stacked.size else 1.0
     lyap_tol = 0.25 * config.care_tol * scale
-    starts = [history[0]]
-    if history[0].rank > 0:
+    if len(history) >= 2:
+        X1, X2 = history[0], history[1]
+        first = SignedFactor(np.hstack([np.sqrt(2.0) * X1.Z, X2.Z]),
+                             np.concatenate([X1.signs, -X2.signs])).compress(config.dtol)
+    else:
+        first = history[0]
+    starts = [first]
+    if first.rank > 0:
         # zero is a guaranteed stabilizing start whenever curly_a is stable
         starts.append(SignedFactor.zero(problem.n))
     last_exc = None
     iterations = 0
-    for X_start in starts:
+    for fallbacks, X_start in enumerate(starts):
         X_it = X_start
         best, best_at = np.inf, 0
         try:
@@ -233,7 +263,7 @@ def _baseline_step(problem, config, handles, history, order, h):
                 est = float(np.linalg.norm(diffB, 2)) ** 2 + 2 * lyap_tol
                 X_it = X_next
                 if est <= config.care_tol * scale:
-                    return X_it, est, scale, iterations
+                    return X_it, est, scale, iterations, fallbacks
                 if est < 0.5 * best:
                     best, best_at = est, it
                 elif it - best_at >= 6:
@@ -245,6 +275,7 @@ def _baseline_step(problem, config, handles, history, order, h):
                 iterations=iterations)
         except SolverError as exc:
             last_exc = exc
+    last_exc.start_fallbacks = len(starts) - 1
     raise last_exc
 
 
@@ -255,7 +286,9 @@ def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
     residual at the new iterate equals the inner Lyapunov defects minus
     D curly_b curly_b^T D with D = X_{p+1} - X_p, whose norm is computable
     from the factors.  trace holds one record per step (m is the step
-    index), and step_stats the per-step log of march without Schur counts.
+    index), and step_stats the per-step log of march without Schur counts,
+    plus start_fallbacks: per step, the Newton starts given up for the zero
+    start, a BDF(p) attempt retaken as implicit Euler included.
     A step's residual (trace, care_residuals) is its stop bound (||D curly_b||^2
     + 2 lyap_tol) / scale with lyap_tol = care_tol * scale / 4: never below
     care_tol / 2, however far below the bound the step landed.
@@ -265,11 +298,20 @@ def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
     handles = {order: _shifted_operator(problem.A, h * bdf_coefficients(order).beta)
                for order in range(1, config.p + 1)}
     trace = []
+    fallbacks = []
     t0 = time.perf_counter()
 
     def step(k, order, history):
-        X, est, scale, iterations = _baseline_step(problem, config, handles, history,
-                                                   order, h)
+        if len(fallbacks) < k:
+            fallbacks.append(0)
+        try:
+            X, est, scale, iterations, fell_back = _baseline_step(
+                problem, config, handles, history, order, h)
+        except SolverError as exc:
+            # march retakes a failed BDF(p) attempt with the same k
+            fallbacks[-1] += getattr(exc, "start_fallbacks", 0)
+            raise
+        fallbacks[-1] += fell_back
         trace.append(ConvergenceRecord(
             m=k, residual=est / scale, rank=X.rank,
             matvecs=sum(hh.matvecs for hh in handles.values()),
@@ -298,6 +340,7 @@ def solve_baseline(problem, config, sample_times=None) -> LowRankSolution:
     sol.step_stats = traj.step_stats(h)
     # Newton on the full equation factorizes no closed loop
     del sol.step_stats["schur_factorizations"]
+    sol.step_stats["start_fallbacks"] = fallbacks
     if sample_times is not None:
         sol.samples = [(float(t), f.psd_part(config.dtol)) for t, f in zip(traj.times, traj.ys)]
     return sol

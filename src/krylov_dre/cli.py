@@ -116,7 +116,8 @@ def _write_csv(path, header, rows):
 SOLVERS = {"solve": solve, "convergence": solve, "baseline": solve_baseline, "eba": solve}
 # bdf_log.csv column of each step_stats key
 _BDF_LOG = (("orders", "order"), ("newton_iters", "newton_iterations"),
-            ("schur_factorizations", "schur_factorizations"), ("care_residuals", "care_residual"))
+            ("schur_factorizations", "schur_factorizations"), ("care_residuals", "care_residual"),
+            ("start_fallbacks", "start_fallbacks"))
 
 
 def cmd_solve(args, out, problem, config):

@@ -77,20 +77,6 @@ def optimal_cost(solution, x0) -> CostReport:
     return CostReport(value=float(v @ v))
 
 
-def projected_cost_identity_check(basis, y_final, x0):
-    """|x_m0^T Y(T_f) x_m0 - x0^T X_m(T_f) x0|, an algebraic identity check.
-
-    The right-hand side is evaluated through the untruncated product
-    V (Y (V^T x0)) so the discrepancy is pure roundoff.
-    """
-    V = basis.basis_matrix()
-    x0 = np.asarray(x0, dtype=float)
-    xm0 = V.T @ x0
-    lhs = float(xm0 @ (y_final @ xm0))
-    rhs = float(x0 @ (V @ (y_final @ (V.T @ x0))))
-    return abs(lhs - rhs)
-
-
 @dataclass
 class SimulationResult:
     times: np.ndarray

@@ -37,6 +37,20 @@ def care_residual(A, B, Q, X):
     return np.linalg.norm(R, "fro") / max(den, 1e-300)
 
 
+def projected_cost_identity_check(basis, y_final, x0):
+    """|x_m0^T Y(T_f) x_m0 - x0^T X_m(T_f) x0|, an algebraic identity check.
+
+    The right-hand side is evaluated through the untruncated product
+    V (Y (V^T x0)) so the discrepancy is pure roundoff.
+    """
+    V = basis.basis_matrix()
+    x0 = np.asarray(x0, dtype=float)
+    xm0 = V.T @ x0
+    lhs = float(xm0 @ (y_final @ xm0))
+    rhs = float(x0 @ (V @ (y_final @ (V.T @ x0))))
+    return abs(lhs - rhs)
+
+
 @pytest.fixture(scope="session")
 def convdiff49():
     return gen_convdiff2d(7, seed=7, t_f=1.0)

@@ -23,7 +23,6 @@ from krylov_dre.lowrank import SignedFactor, signed_diff_fro
 from krylov_dre.lqr import (
     gain_schedule,
     optimal_cost,
-    projected_cost_identity_check,
     simulate_closed_loop,
     steady_state,
 )
@@ -31,7 +30,8 @@ from krylov_dre.oracles import dense_reference_integrate, exact_solution
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
 from krylov_dre.solver import residual_estimate, solve
 
-from conftest import care_residual, dense_a, lyapunov_residual
+from conftest import (care_residual, dense_a, lyapunov_residual,
+                      projected_cost_identity_check)
 
 
 def _report(num, name, runtime, budget, detail):

@@ -12,14 +12,14 @@ from krylov_dre.baseline import (
     _shifted_operator,
 )
 from krylov_dre.bdf import bdf_coefficients
-from krylov_dre.benchmarks import gen_convdiff2d
+from krylov_dre.benchmarks import gen_convdiff2d, gen_heat1d_fem
 from krylov_dre.dense import solve_lyapunov
 from krylov_dre.errors import (MaxIterations, NoStabilizingGuess, NotConverged, StepFailure,
                                UnstableClosedLoop)
 from krylov_dre.lowrank import SignedFactor, signed_diff_fro
 from krylov_dre.problem import DREProblem, SolverConfig, factorize
 
-from conftest import dense_a, random_stable
+from conftest import dense_a, lyapunov_residual, random_stable
 
 
 class _DenseOp:
@@ -76,6 +76,31 @@ def test_closed_loop_operator_woodbury():
     V = rng.standard_normal((n, 3))
     assert np.allclose(op.apply_t(V), F.T @ V, atol=1e-10)
     assert np.allclose(op.solve_t(V), np.linalg.solve(F.T, V), atol=1e-9)
+
+
+def test_one_lu_pass_matches_closed_loop_solves():
+    # newton_step_large's single pass S^{-T} [W, G] with the Woodbury
+    # correction afterwards, and eba_lyapunov's F^{-T} Gc = (F^{-T} G) Q^T,
+    # against separate closed-loop solves
+    rng = np.random.default_rng(23)
+    n = 30
+    s_handle = factorize(random_stable(n, seed=24, shift=9.0))
+    U, W = rng.standard_normal((n, 2)), 0.3 * rng.standard_normal((n, 2))
+    G = rng.standard_normal((n, 3)) @ rng.standard_normal((3, 5))     # rank 3 of 5 columns
+    St = s_handle.solve_t(np.hstack([W, G]))
+    op = ClosedLoopOperator(s_handle, U, W, St_W=St[:, :2])
+    Ft_G = op.woodbury(St[:, 2:])
+    P, sig, Qt = np.linalg.svd(G, full_matrices=False)
+    keep = sig > baseline.SEED_RTOL * sig[0]
+    assert keep.sum() == 3
+    Gc = P[:, keep] * sig[keep]
+    ref = ClosedLoopOperator(s_handle, U, W).solve_t(Gc)
+    assert np.linalg.norm(Ft_G @ Qt[keep].T - ref) <= 1e-12 * np.linalg.norm(ref)
+    # and eba_lyapunov with the precomputed image solves the same equation
+    F = s_handle.A - U @ W.T
+    assert np.linalg.eigvals(F).real.max() < 0
+    X = eba_lyapunov(op, G, tol=1e-12, m_max=20, dtol=1e-13, Ft_G=Ft_G).to_dense()
+    assert lyapunov_residual(F, G @ G.T, X) <= 1e-12
 
 
 def test_stacked_factor_sign_split():
@@ -180,6 +205,18 @@ def test_solve_baseline_agrees_with_projection_solver():
     assert diff / ref <= 1e-6
 
 
+def test_baseline_newton_takes_one_iteration_per_smooth_step():
+    # from the extrapolated history a step's Newton starts O(h^2) from its
+    # root: past the start-up transient one iteration passes the stop test
+    # (2.0 per step from the last iterate)
+    problem = gen_heat1d_fem(900, seed=7, t_f=0.05)
+    config = SolverConfig(p=2, h=1e-3, tol=1e-8, m_max=30, care_tol=1e-10, dtol=1e-11)
+    sol = solve_baseline(problem, config)
+    iters = sol.step_stats["newton_iters"]
+    assert len(iters) == 50 and np.mean(iters[5:]) <= 1.3
+    assert sol.step_stats["start_fallbacks"] == [0] * 50
+
+
 def test_solve_baseline_trajectory_samples():
     problem = gen_convdiff2d(3, seed=5, t_f=0.1)
     config = SolverConfig(p=2, h=1e-2)
@@ -201,20 +238,23 @@ def _scripted_steps(monkeypatch, fail):
         if (k, order) in fail:
             raise fail[k, order]
         accepted.append(order)
-        return history[0], 1e-12, 1.0, 1
+        return history[0], 1e-12, 1.0, 1, 0
 
     monkeypatch.setattr(baseline, "_baseline_step", step)
     return gen_convdiff2d(3, seed=5, t_f=0.1), SolverConfig(p=2, h=1e-2)
 
 
 def test_solve_baseline_retakes_failed_step_as_euler(monkeypatch):
-    problem, config = _scripted_steps(
-        monkeypatch, {(3, 2): MaxIterations("no root", iterations=4)})
+    failure = MaxIterations("no root", iterations=4)
+    failure.start_fallbacks = 1
+    problem, config = _scripted_steps(monkeypatch, {(3, 2): failure})
     sol = solve_baseline(problem, config)
     stats = sol.step_stats
     assert stats["orders"] == [1, 2, 1] + [2] * 7
     assert stats["euler_retakes"] == 1
     assert stats["newton_iters"] == [1, 1, 4 + 1] + [1] * 7
+    # the failed attempt's start fallback counts towards its step
+    assert stats["start_fallbacks"] == [0, 0, 1] + [0] * 7
     assert stats["care_residuals"] == [1e-12] * 10
     assert "schur_factorizations" not in stats
     assert [r.m for r in sol.trace] == list(range(1, 11))
@@ -301,9 +341,9 @@ def test_baseline_step_falls_back_to_zero_start(monkeypatch):
     # from the last iterate Newton stalls; from zero it passes at its 2nd iterate
     problem, config, starts = _scripted_newton(monkeypatch, lambda i: 1.0 if i <= 8 else 0.0)
     last = SignedFactor.from_psd(problem.Z0)
-    X, est, scale, iterations = baseline._baseline_step(problem, config, {1: None}, [last],
-                                                         1, config.h)
-    assert iterations == len(starts) == 9
+    X, est, scale, iterations, fallbacks = baseline._baseline_step(
+        problem, config, {1: None}, [last], 1, config.h)
+    assert iterations == len(starts) == 9 and fallbacks == 1
     assert starts[0] is last and starts[7].rank == 0
     assert X.rank == 2 and est <= config.care_tol * scale
     # when the zero start fails too, its failure is raised
@@ -311,3 +351,50 @@ def test_baseline_step_falls_back_to_zero_start(monkeypatch):
     with pytest.raises(MaxIterations, match="stalled") as info:
         baseline._baseline_step(problem, config, {1: None}, [last], 1, config.h)
     assert info.value.iterations == len(starts) == 14
+    assert info.value.start_fallbacks == 1
+
+
+def test_baseline_step_starts_from_the_extrapolated_history(monkeypatch):
+    problem, config, starts = _scripted_newton(monkeypatch, lambda i: 0.0)
+    rng = np.random.default_rng(61)
+    X1 = SignedFactor(rng.standard_normal((problem.n, 3)), np.array([1.0, 1.0, -1.0]))
+    X2 = SignedFactor.from_psd(rng.standard_normal((problem.n, 2)))
+    X, est, scale, iterations, fallbacks = baseline._baseline_step(
+        problem, config, {1: None}, [X1, X2], 1, config.h)
+    assert (iterations, fallbacks) == (1, 0) and len(starts) == 1
+    # 2 X_{k-1} - X_{k-2}, compressed: rank 5, at most dtol below the exact sum
+    pred = 2 * X1.to_dense() - X2.to_dense()
+    assert starts[0].rank == 5
+    assert np.linalg.norm(starts[0].to_dense() - pred, 2) <= 1e-12 * np.linalg.norm(pred, 2)
+
+
+def test_solve_baseline_reports_a_start_fallback(monkeypatch, tmp_path):
+    from krylov_dre.cli import cli_run
+    from test_bitwise_dump import _load_dump
+
+    # steps 1 and 2 pass at once; step 3's extrapolated start stalls for 7
+    # iterations and its zero start passes at once
+    script = lambda i: 1.0 if 3 <= i <= 9 else 0.0
+    problem, _, starts = _scripted_newton(monkeypatch, script)
+    config = SolverConfig(p=2, h=1e-2)
+    sol = solve_baseline(problem, config)
+    stats = sol.step_stats
+    assert stats["start_fallbacks"] == [0, 0, 1] + [0] * 7
+    assert stats["newton_iters"] == [1, 1, 8] + [1] * 7
+    assert stats["euler_retakes"] == 0 and starts[9].rank == 0
+
+    dump = _load_dump(monkeypatch)
+    out = dump.solution(sol)
+    assert "start_fallbacks" in out["work"]["step_stats"]
+    stats["start_fallbacks"] = [0] * 10
+    quiet = dump.solution(sol)
+    assert quiet["work"] != out["work"] and dump.compare({"b": out}, {"b": quiet}) == [
+        "b: work counts differ"]
+
+    _scripted_newton(monkeypatch, script)
+    code = cli_run(["baseline", "--family", "convdiff2d", "--n0", "3", "--tf", "0.1",
+                    "--h", "1e-2", "--seed", "5", "--out", str(tmp_path)])
+    assert code == 0
+    log = (tmp_path / "bdf_log.csv").read_text().splitlines()
+    assert log[0].split(",")[-1] == "start_fallbacks"
+    assert [int(row.split(",")[-1]) for row in log[1:]] == [0, 0, 1] + [0] * 7

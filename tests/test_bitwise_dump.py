@@ -52,7 +52,8 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     assert len(out["samples"]) == 2 and all(map(_is_digest, out["samples"]))
     # the step log's outputs and its work counts are digested apart
     assert set(out["step_stats"]) == {"h", "care_residuals", "orders"}
-    assert set(out["work"]["step_stats"]) == set(dump.WORK_COUNTS)
+    # start_fallbacks is the baseline's alone
+    assert set(out["work"]["step_stats"]) == set(dump.WORK_COUNTS) - {"start_fallbacks"}
     assert set(out["step_stats"]) | set(out["work"]["step_stats"]) == set(sol.step_stats)
     assert dump.solution(sol) == out
     # a change in the last bit of one entry changes the digest
@@ -84,4 +85,5 @@ def test_dump_digests_solve_and_baseline(monkeypatch):
     assert base["root_screened"] == []
     assert base["m"] == 20 and _is_digest(base["Z"]) and _is_digest(base["trace"])
     assert "schur_factorizations" not in base["work"]["step_stats"]
+    assert "start_fallbacks" in base["work"]["step_stats"]
     assert set(base["step_stats"]) == {"h", "care_residuals", "orders"}

@@ -118,8 +118,11 @@ def test_baseline_command_writes_step_log(tmp_path):
     assert code == 0
     assert len(_read_csv(out / "convergence.csv")) == 10
     log = _read_csv(out / "bdf_log.csv")
-    # Newton on the full equation reports no Schur factorizations
-    assert list(log[0]) == ["k", "t", "order", "newton_iterations", "care_residual"]
+    # Newton on the full equation reports no Schur factorizations, but its
+    # start fallbacks
+    assert list(log[0]) == ["k", "t", "order", "newton_iterations", "care_residual",
+                            "start_fallbacks"]
+    assert all(r["start_fallbacks"] == "0" for r in log)
     assert [int(r["order"]) for r in log] == [1] + [2] * 9
     assert all(int(r["newton_iterations"]) >= 1 for r in log)
     assert all(float(r["care_residual"]) <= 1e-12 for r in log)

@@ -7,13 +7,12 @@ from krylov_dre.errors import NotConverged
 from krylov_dre.lqr import (
     gain_schedule,
     optimal_cost,
-    projected_cost_identity_check,
     simulate_closed_loop,
     steady_state,
 )
 from krylov_dre.problem import DREProblem
 
-from conftest import dense_a
+from conftest import dense_a, projected_cost_identity_check
 
 
 def test_cost_zero_state(solved49):

@@ -1,4 +1,4 @@
-"""scripts/schedule_sweep.py and scripts/failure_scan.py must keep running.
+"""scripts/schedule_sweep.py, failure_scan.py and ab_pair.py must keep running.
 
 Two checkouts are compared by diffing these scripts' outputs, so a script
 that no longer runs, or prints less than it says, should fail here rather
@@ -6,6 +6,7 @@ than in a comparison.
 """
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -84,3 +85,27 @@ def test_failure_scan_lists_the_passing_instances(monkeypatch, capsys):
     # runs of consecutive instances are printed as ranges
     assert scan.index_ranges([0, 1, 2, 3, 50, 170, 171]) == "0-3, 50, 170-171"
     assert scan.index_ranges([]) == "none"
+
+
+def test_ab_pair_times_both_checkouts_on_the_same_problems(monkeypatch, capsys):
+    # this checkout against itself: two packages, one problem, two rounds
+    ab = _load(monkeypatch, "ab_pair")
+    root = str(SCRIPTS.parent)
+    summary = ab.main([root, root, "--workload", "convdiff-n900", "--problems", "1",
+                       "--rounds", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "convdiff-n900 seed 11: 1 problems x 2 rounds"
+    assert [line.split(":")[0] for line in lines[1:3]] == ["round 0 problem 0",
+                                                           "round 1 problem 0"]
+    assert summary["pairs"] == 2 and 0 <= summary["new_faster"] <= 2
+    for side in ("old", "new"):
+        assert summary[side]["cpu_median_s"] > 0.0
+        assert (summary[side]["attempted"], summary[side]["failed"],
+                summary[side]["failed_checks"]) == (2, 0, 0)
+        assert lines[3 + ("old", "new").index(side)].startswith(f"{side}: CPU median ")
+    assert summary["ratio_min"] <= summary["ratio_median"] <= summary["ratio_max"]
+    assert lines[5].startswith("ratio new/old: median ")
+    assert json.loads(lines[-1]) == summary
+    # each side ran its own package, and the process's krylov_dre is untouched
+    assert sys.modules["krylov_dre_old"] is not sys.modules["krylov_dre_new"]
+    assert sys.modules["krylov_dre"].solver is solver
